@@ -123,6 +123,7 @@ from .verify import (
     STATUS_CONFIRMED,
     STATUS_CONFIRMED_WITH_ERRATUM,
     STATUS_REFUTED_AS_PRINTED,
+    STATUS_ERROR,
     CheckResult,
     VerificationReport,
     VerifyConfig,
@@ -220,6 +221,7 @@ __all__ = [
     "STATUS_CONFIRMED",
     "STATUS_CONFIRMED_WITH_ERRATUM",
     "STATUS_REFUTED_AS_PRINTED",
+    "STATUS_ERROR",
     "EXPECTED_STATUS",
     "VerifyConfig",
     "CheckResult",

@@ -1,13 +1,16 @@
 """Kernel backend selection.
 
 The compiled extension (``hhcurves._kernels._speed``) and the pure-Python
-reference (``hhcurves._kernels.pure``) expose the same surface; whichever is
-available is re-exported here. Setting the environment variable
-``HHCURVES_PURE=1`` before import forces the pure backend — a development and
-testing knob, not part of the CLI contract.
+reference (``hhcurves._kernels.pure``) expose the same single-point kernels;
+whichever is available is re-exported here, with ``helix_eval_grid`` for
+whole grids. Setting the environment variable ``HHCURVES_PURE=1`` before
+import forces the pure backend — a development and testing knob, not part of
+the CLI contract.
 """
 
 import os
+
+from hhcurves.errors import HHCurvesError
 
 if os.environ.get("HHCURVES_PURE") == "1":
     from hhcurves._kernels import pure as _impl
@@ -30,6 +33,25 @@ bitension_frenet_jets = _impl.bitension_frenet_jets
 point_eval = _impl.point_eval
 helix_eval = _impl.helix_eval
 
+if BACKEND == "pure":
+    helix_eval_grid = _impl.helix_eval_grid
+else:
+
+    def helix_eval_grid(form, amp, tilt, slope_hi, slope_lo, phase, s_array,
+                        geo_tol):
+        """``pure.helix_eval_grid`` on the compiled kernel: a loop over its
+        ``helix_eval``, which is faster per point than NumPy at any grid size.
+        Points where it raises come back as ``None``; the caller evaluates
+        them again one by one and meets the same exception."""
+        out = []
+        for s in s_array:
+            try:
+                out.append(_impl.helix_eval(form, amp, tilt, slope_hi,
+                                            slope_lo, phase, float(s), geo_tol))
+            except (ArithmeticError, ValueError, HHCurvesError):
+                out.append(None)
+        return out
+
 __all__ = [
     "BACKEND",
     "inner",
@@ -43,4 +65,5 @@ __all__ = [
     "bitension_frenet_jets",
     "point_eval",
     "helix_eval",
+    "helix_eval_grid",
 ]

@@ -1,8 +1,10 @@
 """Pure-Python reference kernels.
 
-This module is the readable, dependency-free implementation of the numerical
-hot paths; ``hhcurves._kernels._speed`` is a compiled mirror with the same
-public surface. Everything here works on plain tuples of floats.
+This module is the readable implementation of the numerical hot paths;
+``hhcurves._kernels._speed`` is a compiled mirror of its single-point
+kernels. Everything here works on plain tuples of floats, except
+``helix_eval_grid``, which runs the double-double helix code over float64
+arrays (NumPy is imported there, not at module import).
 
 Two precision strategies coexist:
 
@@ -20,6 +22,9 @@ Two precision strategies coexist:
   deriving cosh and sinh from a single double-double exponential removes the
   problem at its source. Both bitension routes are still computed by
   independent chains — the extra precision is shared, the algebra is not.
+  The same code evaluates one point on floats or a whole grid on arrays;
+  a small table of operations (``_FloatOps`` / ``_ArrayOps``) supplies the
+  few steps whose two forms differ.
 
 Conventions (frame components throughout): metric signature ``(+, -, -)``;
 ``inner(x, y) = x1·y1 − x2·y2 − x3·y3``; the connection bilinear is
@@ -337,18 +342,24 @@ def point_eval(jets, geo_tol):
 
 
 # --------------------------------------------------------------------------
-# Double-double arithmetic
+# Double-double arithmetic, over floats or float64 arrays
 # --------------------------------------------------------------------------
 
 
 class DD:
-    """Double-double scalar: the represented value is hi + lo.
+    """Double-double number: the represented value is hi + lo.
 
-    Supports mixed arithmetic with plain floats. Only what the helix kernel
-    needs is implemented.
+    ``hi`` and ``lo`` are floats, or float64 arrays that hold one
+    double-double per element (after the QD library of Hida, Li and Bailey).
+    Every operation is elementwise IEEE arithmetic, so an array gives bit for
+    bit what each element gives alone. Supports mixed arithmetic with plain
+    floats and arrays. Only what the helix kernel needs is implemented.
     """
 
     __slots__ = ("hi", "lo")
+
+    # ``array * DD`` must reach DD.__rmul__, not build an object array.
+    __array_ufunc__ = None
 
     def __init__(self, hi, lo=0.0):
         self.hi = hi
@@ -412,15 +423,121 @@ class DD:
         return DD(q, e) + q3
 
 
-def dd_sqrt(x):
-    """Square root of a non-negative double-double."""
-    if x.hi == 0.0 and x.lo == 0.0:
+def _value(x):
+    """The double nearest a double-double: float(x), also over arrays."""
+    return x.hi + x.lo
+
+
+class _FloatOps:
+    """Float forms of the few operations that differ between one point and a
+    grid of points (:class:`_ArrayOps` has the array forms).
+
+    The double-double code below takes one of these tables as ``ops`` and is
+    otherwise the same for both.
+    """
+
+    sqrt = staticmethod(math.sqrt)
+    floor = staticmethod(math.floor)
+    ldexp = staticmethod(math.ldexp)
+    sign = staticmethod(_sign)
+    any = all = staticmethod(bool)
+
+    @staticmethod
+    def select(cond, a, b):
+        """Double-double ``a`` where ``cond`` holds, else ``b``."""
+        return a if cond else b
+
+    @staticmethod
+    def still_live(live, t):
+        """Whether the exp series goes on after a term whose hi word is t."""
+        return live and not abs(t) <= 1e-40
+
+    @staticmethod
+    def exp_special(x):
+        """dd_exp at arguments the series does not evaluate, else None."""
+        if x.hi <= -709.0:
+            return DD(0.0)
+        if x.hi >= 709.0:
+            raise OverflowError("dd_exp argument too large")
+        if x.hi == 0.0 and x.lo == 0.0:
+            return DD(1.0)
+        return None
+
+    @staticmethod
+    def degenerate(a10, q0, geo_tol):
+        """Raise the degeneracy error of a helix point, if it has one."""
+        if math.hypot(_value(a10[0]), _value(a10[1]), _value(a10[2])) <= geo_tol:
+            raise GeodesicDegenerateError(
+                "curvature vanishes along this helix (‖∇_T T‖ <= %r)"
+                % (geo_tol,)
+            )
+        if abs(_value(q0)) <= geo_tol * geo_tol:
+            raise NullNormalDegenerateError(
+                "acceleration is null along this helix (inner(A, A) = %r)"
+                % (_value(q0),)
+            )
+        return False
+
+
+class _ArrayOps:
+    """The operations of :class:`_FloatOps` over float64 arrays.
+
+    Nothing here raises. Arguments outside the ``dd_exp`` range and
+    degenerate points are computed like any other and left to the caller to
+    mask (see :func:`helix_eval_grid`).
+    """
+
+    def __init__(self, np):
+        self.np = np
+        self.sqrt = np.sqrt
+        self.floor = np.floor
+
+    def ldexp(self, x, m):
+        return self.np.ldexp(x, m.astype(int))
+
+    def any(self, mask):
+        return bool(mask.any())
+
+    def all(self, mask):
+        return bool(mask.all())
+
+    def sign(self, v):
+        return self.np.where(v > 0.0, 1.0, -1.0)
+
+    def select(self, cond, a, b):
+        where = self.np.where
+        return DD(where(cond, a.hi, b.hi), where(cond, a.lo, b.lo))
+
+    def still_live(self, live, t):
+        return live & ~(self.np.abs(t) <= 1e-40)
+
+    def exp_special(self, x):
+        # Zero arguments take the series, which yields exactly DD(1.0).
+        return None
+
+    def degenerate(self, a10, q0, geo_tol):
+        """Mask of points that may be degenerate: a superset of the points
+        where :meth:`_FloatOps.degenerate` raises (the norm here is the naive
+        one, so its bound has a margin of 2)."""
+        x, y, z = (_value(c) for c in a10)
+        norm = self.np.sqrt(x * x + y * y + z * z)
+        return (norm <= 2.0 * geo_tol) | (abs(_value(q0)) <= geo_tol * geo_tol)
+
+
+_FLOAT_OPS = _FloatOps()
+
+
+def dd_sqrt(x, ops=_FLOAT_OPS):
+    """Square root of a non-negative double-double (elementwise over arrays,
+    where zero elements give zero as a float does)."""
+    zero = (x.hi == 0.0) & (x.lo == 0.0)
+    if ops.all(zero):
         return DD(0.0)
-    s = math.sqrt(x.hi)
+    s = ops.sqrt(x.hi)
     e = x - DD(s) * DD(s)
     d = e.hi / (2.0 * s)
     h, l = _quick_two_sum(s, d)
-    return DD(h, l)
+    return ops.select(zero, DD(0.0), DD(h, l))
 
 
 _LN2 = DD(0.6931471805599453, 2.3190468138462996e-17)
@@ -437,44 +554,41 @@ def _mul_pow2(x, p):
     return DD(x.hi * p, x.lo * p)
 
 
-def dd_exp(x):
+def dd_exp(x, ops=_FLOAT_OPS):
     """Exponential of a double-double (argument reduction + Taylor + squaring)."""
-    if x.hi <= -709.0:
-        return DD(0.0)
-    if x.hi >= 709.0:
-        raise OverflowError("dd_exp argument too large")
-    if x.hi == 0.0 and x.lo == 0.0:
-        return DD(1.0)
-    m = math.floor(x.hi / _LN2.hi + 0.5)
+    special = ops.exp_special(x)
+    if special is not None:
+        return special
+    m = ops.floor(x.hi / _LN2.hi + 0.5)
     r = _mul_pow2(x - _LN2 * m, 1.0 / 512.0)
-    # Taylor series of expm1 on |r| <= ln2/1024
+    # Taylor series of expm1 on |r| <= ln2/1024, up to and including the
+    # first term below 1e-40 (each element of an array stops on its own)
     p = r * r
     s = r + _mul_pow2(p, 0.5)
     p = p * r
-    t = p * _INV_FACT[0]
-    i = 1
-    while True:
-        s = s + t
+    s = s + p * _INV_FACT[0]
+    live = True
+    for inv_fact in _INV_FACT[1:]:
         p = p * r
-        t = p * _INV_FACT[i]
-        i += 1
-        if abs(t.hi) <= 1e-40 or i >= len(_INV_FACT):
+        t = p * inv_fact
+        s = ops.select(live, s + t, s)
+        live = ops.still_live(live, t.hi)
+        if not ops.any(live):
             break
-    s = s + t
     # Undo the 2^-9 scaling: expm1(2y) = expm1(y)² + 2·expm1(y)
     for _ in range(9):
         s = s * s + _mul_pow2(s, 2.0)
     s = s + 1.0
-    return DD(math.ldexp(s.hi, int(m)), math.ldexp(s.lo, int(m)))
+    return DD(ops.ldexp(s.hi, m), ops.ldexp(s.lo, m))
 
 
-def dd_cosh_sinh(x):
+def dd_cosh_sinh(x, ops=_FLOAT_OPS):
     """cosh and sinh of a double-double, from a single exponential.
 
     Deriving both from one exponential keeps cosh²−sinh² = 1 to ~1e-32, which
     is the property the helix kernel exists to preserve.
     """
-    e = dd_exp(x)
+    e = dd_exp(x, ops)
     inv = DD(1.0) / e
     return _mul_pow2(e + inv, 0.5), _mul_pow2(e - inv, 0.5)
 
@@ -523,19 +637,14 @@ def _dd_scale(x, w):
     return (x[0] * w, x[1] * w, x[2] * w)
 
 
-def helix_eval(form, amp, tilt, slope_hi, slope_lo, phase, s, geo_tol):
-    """Evaluate Frenet data and both bitension routes for a helix-form curve.
+def _helix(ops, form, amp, tilt, a, u, geo_tol):
+    """Body of :func:`helix_eval` and :func:`helix_eval_grid`.
 
-    The curve's tangent is ``(amp·cosh u, amp·sinh u, tilt)`` for ``form`` 0 or
-    ``(amp·sinh u, amp·cosh u, tilt)`` for ``form`` 1, with
-    ``u = slope·s + phase`` and the slope carried as a double-double
-    ``(slope_hi, slope_lo)``. All internal arithmetic is double-double; the
-    returned ``(frenet 23-tuple, tau_direct, tau_frenet)`` are plain doubles.
-    The direct and Frenet-form chains remain independent computations.
+    ``a`` is the slope and ``u`` the helix argument, both double-doubles.
+    Returns ``(fr, tau_d, tau_f, degenerate)``, whose values are floats, or
+    arrays over a grid; ``degenerate`` is what ``ops.degenerate`` returned.
     """
-    a = DD(slope_hi, slope_lo)
-    u = a * s + phase
-    ch, sh = dd_cosh_sinh(u)
+    ch, sh = dd_cosh_sinh(u, ops)
     if form == 0:
         even, odd = ch, sh
     else:
@@ -566,26 +675,18 @@ def helix_eval(form, amp, tilt, slope_hi, slope_lo, phase, s, geo_tol):
     a21 = _dd_add3(a12, _dd_add3(_dd_gamma(t1, a10), _dd_gamma(t0, a11)))
     a3 = _dd_add3(a21, _dd_gamma(t0, a20))
     r = _dd_curv(t0, a10, t0)
-    tau_d = tuple(float(a3[i] - r[i]) for i in range(3))
+    tau_d = tuple(_value(a3[i] - r[i]) for i in range(3))
 
     # --- Frenet chain (independent route) ---
-    if math.hypot(float(a10[0]), float(a10[1]), float(a10[2])) <= geo_tol:
-        raise GeodesicDegenerateError(
-            "curvature vanishes along this helix (‖∇_T T‖ <= %r)" % (geo_tol,)
-        )
     q0 = _dd_inner(a10, a10)
-    if abs(float(q0)) <= geo_tol * geo_tol:
-        raise NullNormalDegenerateError(
-            "acceleration is null along this helix (inner(A, A) = %r)"
-            % (float(q0),)
-        )
-    eps2 = _sign(q0.hi)
+    degenerate = ops.degenerate(a10, q0, geo_tol)
+    eps2 = ops.sign(q0.hi)
     q1 = _mul_pow2(_dd_inner(a11, a10), 2.0)
     q2 = _mul_pow2(_dd_inner(a12, a10) + _dd_inner(a11, a11), 2.0)
     u0 = _mul_pow2(q0, eps2)
     u1 = _mul_pow2(q1, eps2)
     u2 = _mul_pow2(q2, eps2)
-    k1 = dd_sqrt(u0)
+    k1 = dd_sqrt(u0, ops)
     k1p = u1 / _mul_pow2(k1, 2.0)
     k1pp = (u2 - _mul_pow2(k1p * k1p, 2.0)) / _mul_pow2(k1, 2.0)
 
@@ -604,8 +705,8 @@ def helix_eval(form, amp, tilt, slope_hi, slope_lo, phase, s, geo_tol):
     m1 = _dd_add3(n2, _dd_add3(_dd_gamma(t1, n0), _dd_gamma(t0, n1)))
     k2 = _dd_inner(m0, b0)
     k2p = _dd_inner(m1, b0) + _dd_inner(m0, b1)
-    eps1 = _sign(_dd_inner(t0, t0).hi)
-    eps3 = _sign(_dd_inner(b0, b0).hi)
+    eps1 = ops.sign(_dd_inner(t0, t0).hi)
+    eps3 = ops.sign(_dd_inner(b0, b0).hi)
     db = _dd_add3(b1, _dd_gamma(t0, b0))
 
     n3 = n0[2]
@@ -624,32 +725,58 @@ def helix_eval(form, amp, tilt, slope_hi, slope_lo, phase, s, geo_tol):
         - _mul_pow2(k1 * (n3 * b3), 4.0 * eps2 * eps3)
     )
     tau_f = tuple(
-        float(ct * t0[i] + cn * n0[i] + cb * b0[i]) for i in range(3)
+        _value(ct * t0[i] + cn * n0[i] + cb * b0[i]) for i in range(3)
     )
 
     fr = (
-        float(k1),
-        float(k1p),
-        float(k1pp),
-        float(k2),
-        float(k2p),
-        eps1,
-        eps2,
-        eps3,
-        float(t0[0]),
-        float(t0[1]),
-        float(t0[2]),
-        float(n0[0]),
-        float(n0[1]),
-        float(n0[2]),
-        float(b0[0]),
-        float(b0[1]),
-        float(b0[2]),
-        float(m0[0]),
-        float(m0[1]),
-        float(m0[2]),
-        float(db[0]),
-        float(db[1]),
-        float(db[2]),
+        (_value(k1), _value(k1p), _value(k1pp), _value(k2), _value(k2p),
+         eps1, eps2, eps3)
+        + tuple(_value(v) for v in t0 + n0 + b0 + m0 + db)
     )
-    return fr, tau_d, tau_f
+    return fr, tau_d, tau_f, degenerate
+
+
+def helix_eval(form, amp, tilt, slope_hi, slope_lo, phase, s, geo_tol):
+    """Evaluate Frenet data and both bitension routes for a helix-form curve.
+
+    The curve's tangent is ``(amp·cosh u, amp·sinh u, tilt)`` for ``form`` 0 or
+    ``(amp·sinh u, amp·cosh u, tilt)`` for ``form`` 1, with
+    ``u = slope·s + phase`` and the slope carried as a double-double
+    ``(slope_hi, slope_lo)``. All internal arithmetic is double-double; the
+    returned ``(frenet 23-tuple, tau_direct, tau_frenet)`` are plain doubles.
+    The direct and Frenet-form chains remain independent computations.
+    """
+    a = DD(slope_hi, slope_lo)
+    return _helix(_FLOAT_OPS, form, amp, tilt, a, a * s + phase, geo_tol)[:3]
+
+
+def helix_eval_grid(form, amp, tilt, slope_hi, slope_lo, phase, s_array,
+                    geo_tol):
+    """:func:`helix_eval` at every point of ``s_array``, in one NumPy pass.
+
+    Returns a list with one entry per point: what ``helix_eval`` returns for
+    that point, bit for bit, or ``None`` where the point must go through
+    ``helix_eval`` itself. Those are the points that may be degenerate, whose
+    ``u`` lies outside the ``dd_exp`` range, or where any value is not
+    finite, which is the only way a point can reach a division by zero;
+    ``helix_eval`` raises there, or returns the same non-finite values.
+    """
+    import numpy as np
+
+    s = np.asarray(s_array, dtype=float)
+    a = DD(slope_hi, slope_lo)
+    u = a * s + phase
+    with np.errstate(all="ignore"):
+        fr, tau_d, tau_f, degenerate = _helix(
+            _ArrayOps(np), form, amp, tilt, a, u, geo_tol
+        )
+        cols = np.array(np.broadcast_arrays(s, *(fr + tau_d + tau_f))[1:])
+    redo = (
+        degenerate
+        | ~((u.hi > -709.0) & (u.hi < 709.0))
+        | ~np.isfinite(cols).all(axis=0)
+    )
+    return [
+        None if skip else (tuple(col[:23]), tuple(col[23:26]), tuple(col[26:]))
+        for skip, col in zip(redo.tolist(), cols.T.tolist())
+    ]

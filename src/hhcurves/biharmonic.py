@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from hhcurves import _kernels
 from hhcurves import frenet as _frenet
 from hhcurves.errors import (
     GeodesicDegenerateError,
@@ -119,10 +118,11 @@ def identity_defect(k1, k2, eps1, eps3, b3):
 
 def residual_norms(curve, grid, geo_tol=None, unit_tol=None):
     """Euclidean norms of τ₂ along the grid for both routes."""
+    grid = tuple(grid)
     direct = []
     fren = []
-    for s in grid:
-        _, tau_d, tau_f = _frenet.point_data(
+    for s, res in zip(grid, _frenet.grid_point_data(curve, grid, geo_tol)):
+        _, tau_d, tau_f = res or _frenet.point_data(
             curve, s, geo_tol=geo_tol, unit_tol=unit_tol
         )
         direct.append(_enorm(tau_d))
@@ -151,9 +151,9 @@ def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
     res_d = []
     res_f = []
     degenerate = 0
-    for s in grid:
+    for s, res in zip(grid, _frenet.grid_point_data(curve, grid, geo_tol)):
         try:
-            fr, tau_d, tau_f = _frenet.point_data(
+            fr, tau_d, tau_f = res or _frenet.point_data(
                 curve, s, geo_tol=geo_tol, unit_tol=unit_tol
             )
         except (GeodesicDegenerateError, NullNormalDegenerateError):
@@ -161,9 +161,7 @@ def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
             frs.append(None)
             # the direct route needs no frame, so it still reports
             try:
-                _, unit = _frenet._tolerances(curve, geo_tol, unit_tol)
-                jets = _kernels.project_unit_jets(curve.tangent_jets(s), unit)
-                res_d.append(_enorm(_kernels.bitension_direct_jets(jets)))
+                res_d.append(_enorm(_frenet.direct_tau(curve, s, unit_tol)))
             except Exception:
                 res_d.append(float("nan"))
             res_f.append(float("nan"))

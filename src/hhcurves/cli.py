@@ -284,9 +284,9 @@ def _frenet_grid_and_curve(ns):
 def cmd_frenet(ns):
     curve, grid = _frenet_grid_and_curve(ns)
     lines = [_FRENET_HEADER]
-    for s in grid:
+    for s, res in zip(grid, _frenet.grid_point_data(curve, grid)):
         try:
-            fr, tau_d, tau_f = _frenet.point_data(curve, s)
+            fr, tau_d, tau_f = res or _frenet.point_data(curve, s)
         except (GeodesicDegenerateError, NullNormalDegenerateError):
             lines.append(",".join([_fmt(s)] + [_fmt(0.0)] * 9 + ["1"]))
             continue

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from hhcurves import _kernels
+from hhcurves.curves import DEFAULT_UNIT_TOL_ANALYTIC, DEFAULT_UNIT_TOL_FD
 from hhcurves.errors import InvalidInputError
 from hhcurves.frame import FrameVector, cross, inner
 
@@ -31,7 +32,10 @@ __all__ = [
     "ExtendedFrenetData",
     "FrenetGridSummary",
     "point_data",
+    "grid_point_data",
+    "direct_tau",
     "compute_frenet",
+    "extended_from_flat",
     "extended_frenet",
     "frenet_over_grid",
     "DEFAULT_GEO_TOL_ANALYTIC",
@@ -40,8 +44,6 @@ __all__ = [
 
 DEFAULT_GEO_TOL_ANALYTIC = 1e-9
 DEFAULT_GEO_TOL_FD = 1e-5
-_UNIT_TOL_ANALYTIC = 1e-9
-_UNIT_TOL_FD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def _tolerances(curve, geo_tol, unit_tol):
     if geo_tol is None:
         geo_tol = DEFAULT_GEO_TOL_ANALYTIC if analytic else DEFAULT_GEO_TOL_FD
     if unit_tol is None:
-        unit_tol = _UNIT_TOL_ANALYTIC if analytic else _UNIT_TOL_FD
+        unit_tol = DEFAULT_UNIT_TOL_ANALYTIC if analytic else DEFAULT_UNIT_TOL_FD
     return geo_tol, unit_tol
 
 
@@ -145,6 +147,38 @@ def point_data(curve, s, geo_tol=None, unit_tol=None):
     jets = curve.tangent_jets(s)
     jets = _kernels.project_unit_jets(jets, unit_tol)
     return _kernels.point_eval(jets, geo_tol)
+
+
+def grid_point_data(curve, grid, geo_tol=None):
+    """:func:`point_data` over a grid, in one kernel call for helix curves.
+
+    Returns one entry per grid point: ``point_data(curve, s)``, or ``None``
+    where the caller must call :func:`point_data` itself. That is every point
+    of a curve without a helix form, a grid of one point (the scalar kernel
+    costs less than one NumPy pass), and each helix point that the grid
+    kernel hands back (possibly degenerate, outside the double-double
+    ``exp`` range, or not finite), so exceptions and messages stay those of
+    :func:`point_data`.
+    """
+    hx = getattr(curve, "helix", None)
+    if hx is None or len(grid) < 2:
+        return [None] * len(grid)
+    geo_tol, _ = _tolerances(curve, geo_tol, None)
+    return _kernels.helix_eval_grid(
+        hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
+        [float(s) for s in grid], geo_tol,
+    )
+
+
+def direct_tau(curve, s, unit_tol=None):
+    """Bitension field at ``s`` by the direct route alone, in doubles.
+
+    The direct route needs no frame, so unlike :func:`point_data` this is
+    defined at degenerate points too.
+    """
+    _, unit_tol = _tolerances(curve, None, unit_tol)
+    jets = _kernels.project_unit_jets(curve.tangent_jets(s), unit_tol)
+    return _kernels.bitension_direct_jets(jets)
 
 
 def _frenet_from_flat(fr):
@@ -176,9 +210,8 @@ def compute_frenet(curve, s, geo_tol=None, unit_tol=None):
     return _frenet_from_flat(fr)
 
 
-def extended_frenet(curve, s, geo_tol=None, unit_tol=None):
-    """Frenet data plus curvature derivatives and ∇_T N, ∇_T B."""
-    fr = point_data(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)[0]
+def extended_from_flat(fr):
+    """:class:`ExtendedFrenetData` of the flat Frenet tuple of a kernel."""
     return ExtendedFrenetData(
         data=_frenet_from_flat(fr),
         k1_prime=fr[1],
@@ -189,14 +222,21 @@ def extended_frenet(curve, s, geo_tol=None, unit_tol=None):
     )
 
 
+def extended_frenet(curve, s, geo_tol=None, unit_tol=None):
+    """Frenet data plus curvature derivatives and ∇_T N, ∇_T B."""
+    fr = point_data(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)[0]
+    return extended_from_flat(fr)
+
+
 def frenet_over_grid(curve, grid, geo_tol=None, unit_tol=None):
     """Frenet data at every grid point plus deviation-from-mean statistics."""
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
     data = tuple(
-        compute_frenet(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)
-        for s in grid
+        _frenet_from_flat(res[0]) if res
+        else compute_frenet(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)
+        for s, res in zip(grid, grid_point_data(curve, grid, geo_tol))
     )
     cols = {
         "k1": [d.k1 for d in data],

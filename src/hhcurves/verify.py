@@ -8,11 +8,12 @@ Each claim row carries:
 * ``claim_id`` — stable identifier;
 * ``anchor`` — where the claim lives in the source theorem inventory
   (section number plus a short descriptor);
-* ``status`` — ``Confirmed``, ``ConfirmedWithErratum``, or
-  ``Refuted-as-printed``. ``Refuted-as-printed`` is reserved for published
-  constants that fail the direct bitension oracle; the corrected statement is
-  then confirmed in its own row (see ``horizontal-family`` /
-  ``horizontal-slope-printed``).
+* ``status`` — ``Confirmed``, ``ConfirmedWithErratum``,
+  ``Refuted-as-printed`` or ``Error``. ``Refuted-as-printed`` is reserved for
+  published constants that fail the direct bitension oracle; the corrected
+  statement is then confirmed in its own row (see ``horizontal-family`` /
+  ``horizontal-slope-printed``). ``Error`` marks a check that raised; no
+  claim expects it, so a crash can never count as a pass.
 * ``max_residual`` — the largest numeric defect observed for the confirmed
   content (for a refutation row, the witness residual itself);
 * ``details`` — key=value summary of the evidence.
@@ -46,6 +47,7 @@ __all__ = [
     "STATUS_CONFIRMED",
     "STATUS_CONFIRMED_WITH_ERRATUM",
     "STATUS_REFUTED_AS_PRINTED",
+    "STATUS_ERROR",
     "EXPECTED_STATUS",
     "VerifyConfig",
     "CheckResult",
@@ -58,6 +60,7 @@ __all__ = [
 STATUS_CONFIRMED = "Confirmed"
 STATUS_CONFIRMED_WITH_ERRATUM = "ConfirmedWithErratum"
 STATUS_REFUTED_AS_PRINTED = "Refuted-as-printed"
+STATUS_ERROR = "Error"
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,14 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def passed(self):
-        """True when every status matches the pinned expected manifest."""
-        return all(c.status == EXPECTED_STATUS[c.claim_id] for c in self.checks)
+        """True when every status matches the pinned expected manifest.
+
+        A check that raised (status ``Error``) never passes.
+        """
+        return all(
+            c.status != STATUS_ERROR and c.status == EXPECTED_STATUS[c.claim_id]
+            for c in self.checks
+        )
 
 
 def _tol(cfg, default):
@@ -313,9 +322,12 @@ def _generic_frame_curve():
     )
 
 
-def _closure_residuals(curve, s):
-    """Residuals of the three frame evolution equations at one point."""
-    ext = _frenet.extended_frenet(curve, s)
+def _closure_residuals(curve, s, fr):
+    """Residuals of the three frame evolution equations at one point.
+
+    ``fr`` is the flat Frenet tuple of ``point_data(curve, s)``.
+    """
+    ext = _frenet.extended_from_flat(fr)
     d = ext.data
     jets = curve.tangent_jets(s)
     from hhcurves import _kernels
@@ -328,6 +340,17 @@ def _closure_residuals(curve, s):
     )
     rb = _vdiff(tuple(ext.nabla_t_b), tuple(-d.k2 * d.eps2 * d.n))
     return max(rt, rn, rb)
+
+
+def _route_gap(tau_d, tau_f):
+    """Largest component gap between the two bitension routes.
+
+    Both fields go through :class:`FrameVector`, which rejects non-finite
+    components, so a NaN cannot hide in the running maximum.
+    """
+    td = _frame.FrameVector(*tau_d)
+    tf = _frame.FrameVector(*tau_f)
+    return _vdiff(tuple(td), tuple(tf))
 
 
 def _check_bitension_conditions(cfg, rng):
@@ -346,10 +369,9 @@ def _check_bitension_conditions(cfg, rng):
     route_max = 0.0
     for curve, pts in samples:
         for s in pts:
-            closure_max = max(closure_max, _closure_residuals(curve, s))
-            td = _biharmonic.bitension_direct(curve, s)
-            tf = _biharmonic.bitension_frenet_at(curve, s)
-            route_max = max(route_max, _vdiff(tuple(td), tuple(tf)))
+            fr, tau_d, tau_f = _frenet.point_data(curve, s)
+            closure_max = max(closure_max, _closure_residuals(curve, s, fr))
+            route_max = max(route_max, _route_gap(tau_d, tau_f))
     for _ in range(40):
         tilt = float(rng.uniform(-1.0, 1.0))
         phase = float(rng.uniform(-1.0, 1.0))
@@ -363,9 +385,8 @@ def _check_bitension_conditions(cfg, rng):
             slope += 1.5
         hel = _families.make_helix(kind, tilt, slope, phase)
         for s in (-0.7, 0.4):
-            td = _biharmonic.bitension_direct(hel, s)
-            tf = _biharmonic.bitension_frenet_at(hel, s)
-            route_max = max(route_max, _vdiff(tuple(td), tuple(tf)))
+            _, tau_d, tau_f = _frenet.point_data(hel, s)
+            route_max = max(route_max, _route_gap(tau_d, tau_f))
     # third-condition factor: direct oracle on a curve with N3·B3 != 0
     gen = _generic_frame_curve()
     ext = _frenet.extended_frenet(gen, 0.0)
@@ -821,7 +842,7 @@ def _run_one(index, cfg):
     try:
         status, residual, details = fn(cfg, rng)
     except Exception as exc:  # failures become report rows, not exceptions
-        status = STATUS_REFUTED_AS_PRINTED
+        status = STATUS_ERROR
         residual = math.inf
         details = "check aborted: %s: %s" % (type(exc).__name__, exc)
     return CheckResult(

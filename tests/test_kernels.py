@@ -1,23 +1,37 @@
-"""Kernel backends: pure/compiled parity and double-double arithmetic."""
+"""Kernel backends: pure/compiled parity, double-double arithmetic, and the
+one-pass helix grid kernel."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hhcurves._kernels as kernels
+from hhcurves import biharmonic, cli, families, frenet
 from hhcurves._kernels import pure
-from hhcurves import UnitSpeedError
-
-speed = pytest.importorskip(
-    "hhcurves._kernels._speed",
-    reason="compiled kernel extension not built",
+from hhcurves import (
+    GeodesicDegenerateError,
+    NullNormalDegenerateError,
+    UnitSpeedError,
 )
+from hhcurves.curves import HelixSpec
+
 mpmath = pytest.importorskip("mpmath")
+
+
+@pytest.fixture
+def speed():
+    return pytest.importorskip(
+        "hhcurves._kernels._speed",
+        reason="compiled kernel extension not built",
+    )
 
 
 def _helix_jets(amp, tilt, a, s):
@@ -40,12 +54,12 @@ def _flatten(result):
 class TestBackendParity:
     """The compiled extension must agree with the pure reference."""
 
-    def test_active_backend_is_reported(self):
+    def test_active_backend_is_reported(self, speed):
         assert kernels.BACKEND in ("pure", "compiled")
         assert pure.BACKEND == "pure"
         assert speed.BACKEND == "compiled"
 
-    def test_vector_algebra_parity(self):
+    def test_vector_algebra_parity(self, speed):
         vectors = [
             (0.3, -1.2, 0.7),
             (2.0, 0.25, -0.5),
@@ -65,7 +79,7 @@ class TestBackendParity:
                         speed.curvature_op(x, y, z), abs=0.0
                     )
 
-    def test_point_eval_parity(self):
+    def test_point_eval_parity(self, speed):
         amp, tilt = math.cosh(0.5), math.sinh(0.5)
         a = tilt + math.sqrt(tilt * tilt + 4.0 * amp * amp)
         for s in (-0.8, 0.0, 0.45):
@@ -75,7 +89,7 @@ class TestBackendParity:
             for vp, vc in zip(got_p, got_c):
                 assert vp == pytest.approx(vc, rel=1e-14, abs=1e-14)
 
-    def test_helix_eval_parity(self):
+    def test_helix_eval_parity(self, speed):
         amp, tilt = math.sinh(0.8), math.cosh(0.8)
         a = tilt - math.sqrt(tilt * tilt + 4.0 * amp * amp)
         for s in (-1.2, 0.3):
@@ -84,7 +98,7 @@ class TestBackendParity:
             for vp, vc in zip(got_p, got_c):
                 assert vp == pytest.approx(vc, rel=1e-14, abs=1e-14)
 
-    def test_projection_parity(self):
+    def test_projection_parity(self, speed):
         jets = _helix_jets(1.1, 0.3, 2.0, 0.4)  # not unit speed
         scaled = tuple(
             tuple(1.001 * c for c in row) for row in _helix_jets(1.0, 0.0, 2.0, 0.1)
@@ -198,10 +212,10 @@ class TestBackendSwitch:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "pure"
 
-    def test_default_backend_is_compiled_when_built(self):
+    def test_default_backend_is_compiled_when_built(self, speed):
         """With the extension built, BACKEND is "compiled" unless overridden.
 
-        The module-scope importorskip guarantees the extension exists here;
+        The ``speed`` fixture guarantees the extension exists here;
         the only way this process can legitimately run "pure" is the
         environment override, as when the whole suite is exercised under
         HHCURVES_PURE=1.
@@ -210,3 +224,261 @@ class TestBackendSwitch:
             assert kernels.BACKEND == "pure"
         else:
             assert kernels.BACKEND == "compiled"
+
+
+# --------------------------------------------------------------------------
+# The one-pass helix grid kernel
+# --------------------------------------------------------------------------
+
+_VERIFY_GRID = [-2.0 + 0.05 * i for i in range(81)]
+
+
+def _verify_families():
+    """The helix-form curves the claim registry builds, with its grids."""
+    curves = []
+    for phase in (0.0, -0.81):
+        for branch in (1, -1):
+            for alpha0 in (0.0, 0.5, -0.5, 1.0, -1.0):
+                for printed in (False, True):
+                    curves.append(families.make_spacelike_biharmonic(
+                        alpha0, branch=branch, phase=phase, as_printed=printed))
+            for nu0 in (0.5, -0.5, 1.0, -1.0, 0.7):
+                for printed in (False, True):
+                    curves.append(families.make_timelike_biharmonic(
+                        nu0, branch=branch, phase=phase, as_printed=printed))
+            for printed in (False, True):
+                curves.append(families.make_spacelike_horizontal(
+                    branch=branch, phase=phase, as_printed=printed))
+    grids = [(curve, _VERIFY_GRID) for curve in curves]
+    for m in np.linspace(0.1, 3.0, 30):
+        grids.append((families.make_timelike_horizontal_helix(float(m)),
+                      [-0.5, 0.0, 0.7]))
+    for kind, tilt, slope, phase in (
+        ("spacelike", 0.4, -2.1, 0.3), ("spacelike", -0.9, 2.8, -0.6),
+        ("timelike", 0.5, 1.7, 0.2), ("timelike", -0.8, -2.9, 0.9),
+        ("timelike-flat", 0.3, 1.2, 0.0), ("timelike-flat", -0.5, -2.2, 0.0),
+    ):
+        grids.append((families.make_helix(kind, tilt, slope, phase),
+                      [-0.7, -0.6, -0.4, 0.3, 0.4, 0.5]))
+    return grids
+
+
+def _helix_args(spec):
+    return (spec.form, spec.amp, spec.tilt, spec.slope_hi, spec.slope_lo,
+            spec.phase)
+
+
+def _scalar_or_exception(impl, args, s, geo_tol):
+    try:
+        return impl.helix_eval(*args, s, geo_tol)
+    except Exception as exc:
+        return exc
+
+
+def test_grid_matches_points_on_every_verify_family():
+    # the NumPy kernel, and the compiled loop when that backend is active
+    impls = {pure, kernels} if kernels.BACKEND != "pure" else {pure}
+    for curve, grid in _verify_families():
+        args = _helix_args(curve.helix)
+        for impl in impls:
+            got = impl.helix_eval_grid(*args, grid, 1e-9)
+            assert len(got) == len(grid)
+            for s, point in zip(grid, got):
+                # bit for bit, and no point of these grids is handed back
+                want = impl.helix_eval(*args, s, 1e-9)
+                assert point == want, (curve.helix, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    form=st.sampled_from((0, 1)),
+    amp=st.floats(min_value=-3.0, max_value=3.0),
+    tilt=st.floats(min_value=-3.0, max_value=3.0),
+    slope_hi=st.floats(min_value=-4.0, max_value=4.0),
+    slope_lo=st.floats(min_value=-1e-16, max_value=1e-16),
+    phase=st.floats(min_value=-2.0, max_value=2.0),
+    grid=st.lists(st.floats(min_value=-40.0, max_value=40.0),
+                  min_size=1, max_size=12),
+)
+def test_grid_matches_points_on_drawn_helices(form, amp, tilt, slope_hi,
+                                              slope_lo, phase, grid):
+    args = (form, amp, tilt, slope_hi, slope_lo, phase)
+    got = pure.helix_eval_grid(*args, grid, 1e-9)
+    assert len(got) == len(grid)
+    for s, point in zip(grid, got):
+        want = _scalar_or_exception(pure, args, s, 1e-9)
+        if point is None:
+            continue  # handed back: callers evaluate it with helix_eval
+        assert not isinstance(want, Exception), (s, want)
+        assert point == want, s
+
+
+def _series_terms(x):
+    """Taylor terms dd_exp adds for |x| < ln2/2, where no reduction by ln2
+    happens: the series stops after its first term below 1e-40."""
+    r = abs(x) / 512.0
+    for k in range(4, 19):
+        if r ** k / math.factorial(k) <= 1e-40:
+            return k
+    return 18
+
+
+def test_grid_across_the_early_stop_of_the_exp_series():
+    # slope 1 and phase 0 make u = s; its size sets where the series stops
+    s_values = [0.0, -0.0] + [sign * 10.0 ** e
+                              for e in np.linspace(-9.0, -0.5, 40)
+                              for sign in (1.0, -1.0)]
+    assert len({_series_terms(s) for s in s_values if s}) >= 5
+    for form in (0, 1):
+        args = (form, 1.3, 0.4, 1.0, 0.0, 0.0)
+        got = pure.helix_eval_grid(*args, s_values, 1e-9)
+        for s, point in zip(s_values, got):
+            assert point == pure.helix_eval(*args, s, 1e-9), s
+    x = np.array(s_values)
+    exp = pure.dd_exp(pure.DD(x), pure._ArrayOps(np))
+    for i, s in enumerate(s_values):
+        one = pure.dd_exp(pure.DD(s))
+        assert (exp.hi[i], exp.lo[i]) == (one.hi, one.lo), s
+
+
+def test_grid_hands_back_points_outside_the_exp_range():
+    args = (0, 1.0, 0.0, 2.0, 0.0, 0.0)
+    grid = [-400.0, -360.0, -0.5, 0.0, 0.5, 360.0, 400.0, math.nan]
+    got = pure.helix_eval_grid(*args, grid, 1e-9)
+    assert [p is None for p in got] == [True, True, False, False, False,
+                                        True, True, True]
+    for s in (-400.0, 400.0, math.nan):
+        assert isinstance(_scalar_or_exception(pure, args, s, 1e-9),
+                          Exception)
+
+
+@contextlib.contextmanager
+def _per_point_route():
+    """Make every caller evaluate each point with point_data, as before the
+    grid kernel existed."""
+    saved = frenet.grid_point_data
+    frenet.grid_point_data = lambda curve, grid, geo_tol=None: [None] * len(grid)
+    try:
+        yield
+    finally:
+        frenet.grid_point_data = saved
+
+
+def _outcome(fn, *args, **kwargs):
+    # repr, because == never holds for the NaN residuals of a Geodesic report
+    try:
+        return ("ok", repr(fn(*args, **kwargs)))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _same_outcome(fn, *args, **kwargs):
+    got = _outcome(fn, *args, **kwargs)
+    with _per_point_route():
+        want = _outcome(fn, *args, **kwargs)
+    assert got == want
+    return got
+
+
+def test_out_of_range_grids_raise_what_the_point_route_raises():
+    # u = a·s passes 709 between s = 100 and s = 400 for this member
+    curve = families.make_spacelike_biharmonic(0.5)
+    for grid in ([0.0, 100.0, 200.0, 300.0, 400.0],
+                 [0.0, -100.0, -200.0, -300.0, -400.0]):
+        for fn in (biharmonic.residual_norms, frenet.frenet_over_grid):
+            assert _same_outcome(fn, curve, grid)[0] == "raised"
+    assert _outcome(biharmonic.residual_norms, curve, [0.0, 400.0]) == (
+        "raised", OverflowError, "dd_exp argument too large")
+
+
+def _geodesic_helix():
+    # slope 2·tilt makes ∇_T T vanish: every point is geodesic
+    tilt = 0.6
+    return families.make_helix("spacelike", tilt, 2.0 * math.sinh(tilt))
+
+
+def _null_normal_helix_and_tol():
+    """A helix with a geo_tol at which points near u = 0 are geodesic and
+    the others have a null normal.
+
+    Along a helix ‖∇_T T‖ = k1·√cosh 2u while |inner(A, A)| = k1², so with
+    geo_tol = 1.5·k1 the geodesic test fails once cosh 2u > 2.25.
+    """
+    curve = families.make_spacelike_biharmonic(0.5)
+    k1 = frenet.compute_frenet(curve, 0.0).k1
+    return curve, 1.5 * k1
+
+
+def test_degenerate_grids_raise_what_the_point_route_raises():
+    geo = _geodesic_helix()
+    null, tol = _null_normal_helix_and_tol()
+    null_grid = [1.5, 1.2, 0.9, 0.0, -0.9]
+    with pytest.raises(NullNormalDegenerateError):
+        frenet.point_data(null, 1.5, geo_tol=tol)
+    with pytest.raises(GeodesicDegenerateError):
+        frenet.point_data(null, 0.0, geo_tol=tol)
+    for fn in (biharmonic.residual_norms, frenet.frenet_over_grid):
+        assert _same_outcome(fn, geo, _VERIFY_GRID)[0] == "raised"
+        assert _same_outcome(fn, null, null_grid, geo_tol=tol)[0] == "raised"
+        assert _same_outcome(fn, null, null_grid[::-1], geo_tol=tol)[0] == "raised"
+
+
+def test_degenerate_grids_give_the_same_geodesic_report():
+    null, tol = _null_normal_helix_and_tol()
+    for curve, grid, geo_tol in (
+        (_geodesic_helix(), _VERIFY_GRID, None),
+        (null, [1.5, 1.2, 0.9, 0.0, -0.9, -1.2], tol),
+    ):
+        assert _same_outcome(biharmonic.check_biharmonic_conditions,
+                             curve, grid, geo_tol=geo_tol)[0] == "ok"
+        report = biharmonic.check_biharmonic_conditions(curve, grid,
+                                                        geo_tol=geo_tol)
+        assert report.verdict == "Geodesic"
+        assert report.condition_values == {"degenerate_points": float(len(grid))}
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = (type(exc), str(exc))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["frenet", "--family", "spacelike", "--alpha0", "0.5",
+     "--range", "-2:2:0.05"],
+    ["frenet", "--family", "timelike", "--nu0", "-0.7", "--as-printed",
+     "--range", "-2:2:0.1"],
+    ["frenet", "--family", "spacelike", "--alpha0", "0.5",
+     "--range", "0:400:100"],
+    ["frenet", "--family", "spacelike", "--alpha0", "0.5",
+     "--range", "-400:0:100"],
+])
+def test_cli_frenet_output_is_unchanged(argv):
+    got = _cli(argv)
+    with _per_point_route():
+        assert got == _cli(argv)
+
+
+def test_cli_frenet_writes_the_same_degenerate_rows(monkeypatch):
+    monkeypatch.setattr(cli, "_build_curve", lambda ns, s_range: _geodesic_helix())
+    argv = ["frenet", "--family", "spacelike", "--alpha0", "0",
+            "--range", "-1:1:0.5"]
+    code, out, _ = _cli(argv)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",1") for row in rows)
+    with _per_point_route():
+        assert _cli(argv) == (code, out, "")
+
+
+def test_grid_point_data_leaves_other_curves_to_point_data():
+    curve = families.make_b3zero_linear("spacelike", 0.4, 0.6, (0.0, 1.0))
+    assert frenet.grid_point_data(curve, [0.2, 0.5]) == [None, None]
+    helix = families.make_spacelike_biharmonic(0.5)
+    assert frenet.grid_point_data(helix, [0.3]) == [None]
+    got = frenet.grid_point_data(helix, [0.3, 0.4])
+    assert got == [frenet.point_data(helix, 0.3), frenet.point_data(helix, 0.4)]

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+import hhcurves.biharmonic
 import hhcurves.connection
 from hhcurves import (
     EXPECTED_STATUS,
     InvalidInputError,
     STATUS_CONFIRMED,
     STATUS_CONFIRMED_WITH_ERRATUM,
+    STATUS_ERROR,
     STATUS_REFUTED_AS_PRINTED,
     VerificationReport,
     VerifyConfig,
@@ -144,3 +146,27 @@ class TestNegativeControls:
         monkeypatch.setattr(hhcurves.connection, "CONNECTION", bad)
         result = verify_claim("connection-table")
         assert result.status == STATUS_REFUTED_AS_PRINTED
+
+
+class TestFailClosed:
+    def test_no_claim_expects_an_error(self):
+        assert STATUS_ERROR not in EXPECTED_STATUS.values()
+
+    def test_crash_in_a_refutation_row_is_not_a_pass(self, monkeypatch, capsys):
+        # Refuted-as-printed is this row's expected status, so a crash
+        # reported under that status would pass.
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(hhcurves.biharmonic, "residual_norms", crash)
+        check = verify_claim("horizontal-slope-printed")
+        assert check.status == STATUS_ERROR
+        assert "RuntimeError: injected failure" in check.details
+        report = VerificationReport(schema_version=1, seed=7, checks=(check,))
+        assert not report.passed()
+
+        from hhcurves import cli
+
+        assert cli.main(["verify", "--claim", "horizontal-slope-printed"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"][0]["status"] == STATUS_ERROR
