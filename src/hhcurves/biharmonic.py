@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from hhcurves import frenet as _frenet
+from hhcurves._kernels import pure as _pure
 from hhcurves.errors import (
     GeodesicDegenerateError,
     InvalidInputError,
@@ -93,22 +94,10 @@ def bitension_frenet(ext):
     :func:`bitension_frenet_at` up to rounding of the stored Frenet data.
     """
     d = ext.data
-    k1, k2 = d.k1, d.k2
-    e1, e2, e3 = d.eps1, d.eps2, d.eps3
-    n3 = d.n[2]
-    b3 = d.b[2]
-    ct = -3.0 * k1 * ext.k1_prime * e1 * e2
-    cn = (
-        ext.k1_second * e2
-        - k1 ** 3 * e1
-        - k1 * k2 * k2 * e3
-        + k1 * e3
-        + 4.0 * k1 * b3 * b3
-    )
-    cb = (
-        2.0 * ext.k1_prime * k2 + k1 * ext.k2_prime - 4.0 * k1 * n3 * b3
-    ) * e2 * e3
-    return ct * d.t + cn * d.n + cb * d.b
+    fr = (d.k1, ext.k1_prime, ext.k1_second, d.k2, ext.k2_prime,
+          d.eps1, d.eps2, d.eps3, *d.t, *d.n, *d.b,
+          *ext.nabla_t_n, *ext.nabla_t_b)
+    return FrameVector(*_pure._tau_from_frenet(fr))
 
 
 def identity_defect(k1, k2, eps1, eps3, b3):

@@ -271,6 +271,12 @@ class _SampleTable:
         self.points = points
         self.spacing = spacing
         self.richardson = richardson
+        # fd_derivative on the nodes, run at 0: Richardson's half step is one
+        # spacing, so it asks only for 0, ±1, ±2 and ±4 spacings, each an
+        # exact product that maps back to its node offset.
+        self._fd = FDConfig(step=2.0 * spacing if richardson else spacing,
+                            richardson=richardson)
+        self._offsets = {k * spacing: k for k in range(-4, 5)}
 
     def _index(self, s):
         i = bisect_left(self.s_values, s - 1e-9 * max(1.0, abs(s)))
@@ -299,20 +305,9 @@ class _SampleTable:
                 "node %d too close to the boundary for stencil derivatives "
                 "(valid interior is [%d, %d])" % (i, lo, hi)
             )
-        if not self.richardson:
-            return self._stencil(i, order, 1)
-        coarse = self._stencil(i, order, 2)
-        fine = self._stencil(i, order, 1)
-        return tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
-
-    def _stencil(self, i, order, stride):
-        acc = [0.0, 0.0, 0.0]
-        for off, w in _STENCILS[order]:
-            p = self.points[i + off * stride]
-            for n in range(3):
-                acc[n] += w * p[n]
-        scale = (self.spacing * stride) ** order
-        return tuple(a / scale for a in acc)
+        points, offsets = self.points, self._offsets
+        return fd_derivative(lambda t: points[i + offsets[t]], 0.0, order,
+                             self._fd)
 
 
 # ---------------------------------------------------------------------------

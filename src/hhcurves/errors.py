@@ -33,6 +33,7 @@ class DegenerateGeodesicError(InvalidInputError):
 
     The requested member degenerates to a geodesic (zero curvature everywhere),
     so the family's closed forms do not apply. Raised at construction time.
+    Not :class:`GeodesicDegenerateError` (one point): this rejects the family, exit 2.
     """
 
 
@@ -41,6 +42,7 @@ class GeodesicDegenerateError(HHCurvesError):
 
     The normal direction is undefined there; callers that sweep a grid usually
     record such points as degenerate rows instead of aborting.
+    Not :class:`DegenerateGeodesicError` (whole family, exit 2): this marks one point.
     """
 
 

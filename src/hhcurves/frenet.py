@@ -129,6 +129,24 @@ def _tolerances(curve, geo_tol, unit_tol):
     return geo_tol, unit_tol
 
 
+def _evaluate(curve, s, geo_tol, unit_tol, jets_kernel):
+    """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
+    curves, else ``jets_kernel`` of the projected tangent jets."""
+    geo_tol, unit_tol = _tolerances(curve, geo_tol, unit_tol)
+    hx = getattr(curve, "helix", None)
+    if hx is not None:
+        return _kernels.helix_eval(
+            hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
+            float(s), geo_tol,
+        )
+    jets = _kernels.project_unit_jets(curve.tangent_jets(s), unit_tol)
+    return jets_kernel(jets, geo_tol)
+
+
+def _frame_jets(jets, geo_tol):
+    return (_kernels.frenet_jets(jets, geo_tol),)
+
+
 def point_data(curve, s, geo_tol=None, unit_tol=None):
     """Raw kernel evaluation at one point.
 
@@ -137,16 +155,7 @@ def point_data(curve, s, geo_tol=None, unit_tol=None):
     others go through jet projection plus the compensated double pipeline.
     Raises the degeneracy errors and :class:`UnitSpeedError` as appropriate.
     """
-    geo_tol, unit_tol = _tolerances(curve, geo_tol, unit_tol)
-    hx = getattr(curve, "helix", None)
-    if hx is not None:
-        return _kernels.helix_eval(
-            hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
-            float(s), geo_tol,
-        )
-    jets = curve.tangent_jets(s)
-    jets = _kernels.project_unit_jets(jets, unit_tol)
-    return _kernels.point_eval(jets, geo_tol)
+    return _evaluate(curve, s, geo_tol, unit_tol, _kernels.point_eval)
 
 
 def grid_point_data(curve, grid, geo_tol=None):
@@ -196,17 +205,7 @@ def _frenet_from_flat(fr):
 
 def compute_frenet(curve, s, geo_tol=None, unit_tol=None):
     """Frenet data of the curve at parameter value ``s``."""
-    geo_tol, unit_tol = _tolerances(curve, geo_tol, unit_tol)
-    hx = getattr(curve, "helix", None)
-    if hx is not None:
-        fr = _kernels.helix_eval(
-            hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
-            float(s), geo_tol,
-        )[0]
-    else:
-        jets = curve.tangent_jets(s)
-        jets = _kernels.project_unit_jets(jets, unit_tol)
-        fr = _kernels.frenet_jets(jets, geo_tol)
+    fr = _evaluate(curve, s, geo_tol, unit_tol, _frame_jets)[0]
     return _frenet_from_flat(fr)
 
 

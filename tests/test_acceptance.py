@@ -488,7 +488,9 @@ def test_criterion_11_sign_triple_invariant():
     assert frames == (10 + 40 + 3) * 5
 
 
-@pytest.mark.criterion(12, "verification run under 60 s and byte-identical per seed")
+@pytest.mark.criterion(
+    12, "verification run under 60 s and byte-identical per seed on one backend"
+)
 def test_criterion_12_verification_run(verification_report):
     """Two full verification runs finish in budget and agree byte-for-byte."""
     t0 = time.perf_counter()

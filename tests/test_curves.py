@@ -138,6 +138,21 @@ class TestSampledCurves:
             # Richardson stencil truncation at spacing 0.05 is ~|f⁽⁵⁾|·h⁴/30.
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-6
 
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_derivatives_are_fd_on_the_nodes(self, richardson):
+        s_values, points = self._samples()
+        d = s_values[1] - s_values[0]
+        curve = CoordinateCurve.from_samples(s_values, points, richardson)
+        cfg = FDConfig(step=2.0 * d if richardson else d, richardson=richardson)
+
+        def node(t):
+            return points[round((t - s_values[0]) / d)]
+
+        lo, hi = curve.samples.interior_range()
+        for s in s_values[lo:hi + 1]:
+            for m in (1, 2, 3, 4):
+                assert curve.derivative(s, m) == fd_derivative(node, s, m, cfg)
+
     def test_off_grid_evaluation_rejected(self):
         s_values, points = self._samples()
         curve = CoordinateCurve.from_samples(s_values, points)

@@ -99,7 +99,6 @@ class TestBackendParity:
                 assert vp == pytest.approx(vc, rel=1e-14, abs=1e-14)
 
     def test_projection_parity(self, speed):
-        jets = _helix_jets(1.1, 0.3, 2.0, 0.4)  # not unit speed
         scaled = tuple(
             tuple(1.001 * c for c in row) for row in _helix_jets(1.0, 0.0, 2.0, 0.1)
         )
@@ -107,7 +106,6 @@ class TestBackendParity:
         got_c = speed.project_unit_jets(scaled, 1e-2)
         for rp, rc in zip(got_p, got_c):
             assert rp == pytest.approx(rc, rel=1e-15, abs=1e-15)
-        del jets
 
 
 class TestProjection:
