@@ -105,7 +105,6 @@ from .biharmonic import (
 )
 from .families import (
     FamilyKind,
-    FamilyParams,
     linear_profile,
     make_b3zero_curve,
     make_b3zero_linear,
@@ -205,7 +204,6 @@ __all__ = [
     "DEFAULT_VERDICT_TOL_SAMPLED",
     # families
     "FamilyKind",
-    "FamilyParams",
     "solve_slope",
     "make_spacelike_biharmonic",
     "make_timelike_biharmonic",

@@ -23,13 +23,11 @@ else:
 BACKEND = _impl.BACKEND
 inner = _impl.inner
 cross = _impl.cross
-gamma = _impl.gamma
 covd = _impl.covd
 curvature_op = _impl.curvature_op
 project_unit_jets = _impl.project_unit_jets
 bitension_direct_jets = _impl.bitension_direct_jets
 frenet_jets = _impl.frenet_jets
-bitension_frenet_jets = _impl.bitension_frenet_jets
 point_eval = _impl.point_eval
 helix_eval = _impl.helix_eval
 
@@ -56,13 +54,11 @@ __all__ = [
     "BACKEND",
     "inner",
     "cross",
-    "gamma",
     "covd",
     "curvature_op",
     "project_unit_jets",
     "bitension_direct_jets",
     "frenet_jets",
-    "bitension_frenet_jets",
     "point_eval",
     "helix_eval",
     "helix_eval_grid",

@@ -463,11 +463,6 @@ cdef tuple _tau_from_fr(tuple fr):
     )
 
 
-def bitension_frenet_jets(jets, geo_tol):
-    """Bitension field via the Frenet-form coefficients (independent route)."""
-    return _tau_from_fr(frenet_jets(jets, geo_tol))
-
-
 def point_eval(jets, geo_tol):
     """One-pass evaluation: (frenet 23-tuple, tau_direct, tau_frenet)."""
     tau_d = bitension_direct_jets(jets)

@@ -329,11 +329,6 @@ def _tau_from_frenet(fr):
     return tuple(ct * t[i] + cn * n[i] + cb * b[i] for i in range(3))
 
 
-def bitension_frenet_jets(jets, geo_tol):
-    """Bitension field via the Frenet-form coefficients (independent route)."""
-    return _tau_from_frenet(frenet_jets(jets, geo_tol))
-
-
 def point_eval(jets, geo_tol):
     """One-pass evaluation: (frenet 23-tuple, tau_direct, tau_frenet)."""
     tau_d = bitension_direct_jets(jets)

@@ -17,12 +17,14 @@ Subcommands
     status 0 when every check status matches the pinned expected-status
     manifest, 1 otherwise.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 output I/O failure. Every error path prints a single ``error: ...`` line
-to stderr. All configuration is by flags; no environment variables or config
-files are consulted. File output is atomic (temp file + rename) and uses
-fixed 17-significant-digit, locale-independent float formatting, so repeated
-runs produce identical bytes.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input (including
+a family flag the chosen family does not take, a non-finite family value, or
+arithmetic that overflows on the requested range), 3 output I/O failure.
+Every error path prints a single ``error: ...`` line to stderr. All
+configuration is by flags; no environment variables or config files are
+consulted. File output is atomic (temp file + rename) and uses fixed
+17-significant-digit, locale-independent float formatting, so repeated runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -49,18 +51,33 @@ __all__ = ["build_parser", "main"]
 _GENERATE_HEADER = "s,x,y,z,T1,T2,T3"
 _FRENET_HEADER = "s,k1,k2,eps1,eps2,eps3,N3,B3,res_direct,res_frenet,degenerate"
 
-_FAMILY_CHOICES = (
-    "spacelike",
-    "timelike",
-    "spacelike-horizontal",
-    "horizontal",
-    "timelike-horizontal-helix",
-    "b3zero-spacelike",
-    "b3zero-timelike",
-    "geodesic",
-)
+_OFFSETS = ("c1", "c2", "c3")
+_HELIX_FLAGS = ("branch", "phase", "as_printed") + _OFFSETS
 
-_BRANCH_MAP = {"+": 1, "plus": 1, "+1": 1, "1": 1, "-": -1, "minus": -1, "-1": -1}
+# Each --family name: its `families` maker, looked up by name when the curve
+# is built; the flags it requires; and the flags it also takes. The b3zero
+# maker also requires "kind" and "s_range", which are the family name and the
+# --range bounds rather than flags.
+_HORIZONTAL = ("make_spacelike_horizontal", (), _HELIX_FLAGS)
+_B3ZERO = ("make_b3zero_linear", ("kind", "p", "q", "s_range"), ())
+_FAMILIES = {
+    "spacelike": ("make_spacelike_biharmonic", ("alpha0",), _HELIX_FLAGS),
+    "timelike": ("make_timelike_biharmonic", ("nu0",), _HELIX_FLAGS),
+    "spacelike-horizontal": _HORIZONTAL,
+    "horizontal": _HORIZONTAL,
+    "timelike-horizontal-helix": (
+        "make_timelike_horizontal_helix", ("m",), _OFFSETS,
+    ),
+    "b3zero-spacelike": _B3ZERO,
+    "b3zero-timelike": _B3ZERO,
+    "geodesic": ("make_geodesic", (), ("direction",)),
+}
+
+# Every family flag, as its argparse dest; each defaults to None.
+_FAMILY_FLAGS = ("alpha0", "nu0", "m", "p", "q", "direction") + _HELIX_FLAGS
+
+# The s-grid when --range is not given.
+_DEFAULT_RANGE = "-2:2:0.01"
 
 # Maximum RK4 step used when `generate` has to integrate a tangent-only
 # curve (b3zero families) to obtain coordinates.
@@ -103,7 +120,9 @@ def _write_text(path, text):
 
 
 def _parse_range(text):
-    """Parse 'start:stop:step' into (start, stop, step, node_count-1)."""
+    """Parse 'start:stop:step' (None: the default) into (start, stop, step, n)."""
+    if text is None:
+        text = _DEFAULT_RANGE
     parts = str(text).split(":")
     if len(parts) != 3:
         raise InvalidInputError(
@@ -149,85 +168,47 @@ def _parse_direction(text):
         ) from exc
 
 
-def _reject_params(ns, family, allowed):
-    """Reject family parameters that don't belong to the chosen family."""
-    supplied = {
-        "--alpha0": ns.alpha0,
-        "--nu0": ns.nu0,
-        "--m": ns.m,
-        "--p": ns.p,
-        "--q": ns.q,
-        "--direction": ns.direction,
+def _build_curve(ns, s_range):
+    """Construct the requested family member from parsed options.
+
+    Only supplied flags reach the maker, so its own defaults apply to the
+    rest. A flag the family does not take, a missing required flag and a
+    non-finite number are rejected.
+    """
+    family = ns.family
+    if family is None:
+        raise InvalidInputError("--family is required")
+    maker, required, takes = _FAMILIES[family]
+    kwargs = {
+        name: value
+        for name, value in (("kind", family), ("s_range", s_range))
+        if name in required
     }
-    for flag, value in supplied.items():
-        if value is not None and flag.lstrip("-") not in allowed:
+    for name in _FAMILY_FLAGS:
+        value = getattr(ns, name)
+        flag = "--" + name.replace("_", "-")
+        if value is None:
+            if name in required:
+                raise InvalidInputError(
+                    "%s is required for the %s family" % (flag, family)
+                )
+            continue
+        if name not in required + takes:
             raise InvalidInputError(
                 "%s is not a parameter of the %s family" % (flag, family)
             )
-    if ns.as_printed and "as_printed" not in allowed:
-        raise InvalidInputError(
-            "--as-printed has no printed-constant variant for the %s family"
-            % (family,)
-        )
-
-
-def _require(value, flag, family):
-    if value is None:
-        raise InvalidInputError(
-            "%s is required for the %s family" % (flag, family)
-        )
-    return value
-
-
-def _build_curve(ns, s_range):
-    """Construct the requested family member from parsed options."""
-    family = ns.family
-    branch = _BRANCH_MAP[ns.branch]
-    offsets = (ns.c1, ns.c2, ns.c3)
-    if family == "spacelike":
-        _reject_params(ns, family, ("alpha0", "as_printed"))
-        alpha0 = _require(ns.alpha0, "--alpha0", family)
-        return _families.make_spacelike_biharmonic(
-            alpha0,
-            branch=branch,
-            phase=ns.phase,
-            offsets=offsets,
-            as_printed=ns.as_printed,
-        )
-    if family == "timelike":
-        _reject_params(ns, family, ("nu0", "as_printed"))
-        nu0 = _require(ns.nu0, "--nu0", family)
-        return _families.make_timelike_biharmonic(
-            nu0,
-            branch=branch,
-            phase=ns.phase,
-            offsets=offsets,
-            as_printed=ns.as_printed,
-        )
-    if family in ("spacelike-horizontal", "horizontal"):
-        _reject_params(ns, family, ("as_printed",))
-        return _families.make_spacelike_horizontal(
-            branch=branch,
-            phase=ns.phase,
-            offsets=offsets,
-            as_printed=ns.as_printed,
-        )
-    if family == "timelike-horizontal-helix":
-        _reject_params(ns, family, ("m",))
-        m = _require(ns.m, "--m", family)
-        return _families.make_timelike_horizontal_helix(m, offsets=offsets)
-    if family in ("b3zero-spacelike", "b3zero-timelike"):
-        _reject_params(ns, family, ("p", "q"))
-        p = _require(ns.p, "--p", family)
-        q = _require(ns.q, "--q", family)
-        return _families.make_b3zero_linear(family, p, q, s_range)
-    if family == "geodesic":
-        _reject_params(ns, family, ("direction",))
-        direction = (0.0, 0.0, 1.0)
-        if ns.direction is not None:
-            direction = _parse_direction(ns.direction)
-        return _families.make_geodesic(direction)
-    raise InvalidInputError("unknown family %r" % (family,))
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidInputError(
+                "%s must be finite, got %r" % (flag, value)
+            )
+        if name in _OFFSETS:
+            offsets = kwargs.setdefault("offsets", [0.0, 0.0, 0.0])
+            offsets[_OFFSETS.index(name)] = value
+        elif name == "direction":
+            kwargs[name] = _parse_direction(value)
+        else:
+            kwargs[name] = value
+    return getattr(_families, maker)(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +246,12 @@ def _frenet_grid_and_curve(ns):
     if ns.input is not None and ns.family is not None:
         raise InvalidInputError("--input and --family are mutually exclusive")
     if ns.input is not None:
+        for name in _FAMILY_FLAGS + ("range",):
+            if getattr(ns, name) is not None:
+                raise InvalidInputError(
+                    "--%s does not apply to --input"
+                    % name.replace("_", "-")
+                )
         curve = read_curve_csv(ns.input)
         table = curve.samples
         lo, hi = table.interior_range()
@@ -337,7 +324,7 @@ def _add_family_options(parser):
     group = parser.add_argument_group("curve family")
     group.add_argument(
         "--family",
-        choices=_FAMILY_CHOICES,
+        choices=tuple(_FAMILIES),
         default=None,
         help="closed-form family to instantiate",
     )
@@ -362,28 +349,29 @@ def _add_family_options(parser):
         help="linear-profile slope for the b3zero families (nonzero)",
     )
     group.add_argument(
-        "--branch", choices=sorted(_BRANCH_MAP), default="+",
-        help="slope-quadratic root to use (default '+')",
+        "--branch", default=None,
+        help="slope-quadratic root: + or - (also plus, minus, +1, 1, -1; "
+        "default +)",
     )
     group.add_argument(
-        "--phase", type=float, default=0.0,
+        "--phase", type=float, default=None,
         help="phase offset b in u = a*s + b (default 0)",
     )
     group.add_argument(
-        "--c1", type=float, default=0.0, help="x translation (default 0)"
+        "--c1", type=float, default=None, help="x translation (default 0)"
     )
     group.add_argument(
-        "--c2", type=float, default=0.0, help="y translation (default 0)"
+        "--c2", type=float, default=None, help="y translation (default 0)"
     )
     group.add_argument(
-        "--c3", type=float, default=0.0, help="z translation (default 0)"
+        "--c3", type=float, default=None, help="z translation (default 0)"
     )
     group.add_argument(
         "--direction", default=None,
         help="geodesic direction as 'dx,dy,dz' (default 0,0,1)",
     )
     group.add_argument(
-        "--as-printed", action="store_true", dest="as_printed",
+        "--as-printed", action="store_true", default=None, dest="as_printed",
         help="use the printed (uncorrected) slope constant",
     )
 
@@ -401,8 +389,8 @@ def _add_output_options(parser, fmt):
 
 def _add_range_option(parser):
     parser.add_argument(
-        "--range", default="-2:2:0.01",
-        help="s-grid as start:stop:step (default -2:2:0.01)",
+        "--range", default=None,
+        help="s-grid as start:stop:step (default %s)" % _DEFAULT_RANGE,
     )
 
 
@@ -497,6 +485,9 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write("error: io failure: %s\n" % exc)
         return 3
+    except ArithmeticError as exc:
+        sys.stderr.write("error: arithmetic failure: %s\n" % exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from hhcurves._kernels import pure as _ddmath
@@ -38,7 +37,6 @@ from hhcurves.errors import DegenerateGeodesicError, InvalidInputError
 
 __all__ = [
     "FamilyKind",
-    "FamilyParams",
     "solve_slope",
     "make_spacelike_biharmonic",
     "make_timelike_biharmonic",
@@ -63,18 +61,6 @@ class FamilyKind(Enum):
     GEODESIC = "geodesic"
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Bag of generator parameters (the CLI's argument funnel)."""
-
-    kind: FamilyKind
-    shape: float = 0.0          # α₀ / ν₀ / helix frequency m
-    branch: int = 1             # which quadratic root: +1 or -1
-    phase: float = 0.0
-    offsets: tuple = (0.0, 0.0, 0.0)
-    as_printed: bool = False
-
-
 _KIND_ALIASES = {"horizontal": FamilyKind.SPACELIKE_HORIZONTAL}
 
 
@@ -90,13 +76,17 @@ def _coerce_kind(kind):
         raise InvalidInputError("unknown family kind %r" % (kind,)) from exc
 
 
+# Spellings of the two slope-quadratic roots (the CLI's --branch values)
+_BRANCHES = {
+    "+": 1, "plus": 1, "+1": 1, "1": 1, "-": -1, "minus": -1, "-1": -1,
+}
+
+
 def _coerce_branch(branch):
     if branch in (1, -1):
         return int(branch)
-    if branch in ("+", "plus"):
-        return 1
-    if branch in ("-", "minus"):
-        return -1
+    if isinstance(branch, str) and branch in _BRANCHES:
+        return _BRANCHES[branch]
     raise InvalidInputError("branch must be +1 or -1, got %r" % (branch,))
 
 

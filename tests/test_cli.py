@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism, atomic output."""
 
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from hhcurves.cli import main
+from hhcurves import FamilyKind
+from hhcurves.cli import build_parser, main
 
 HORIZONTAL_K1 = 2.0
 
@@ -162,6 +164,112 @@ class TestGenerate:
         assert err.startswith("error:")
 
 
+_HELIX_FLAGS = {"branch", "phase", "as_printed", "c1", "c2", "c3"}
+
+# --family name: (required flags, other flags it takes)
+_EXPECTED_FLAGS = {
+    "spacelike": ({"alpha0"}, _HELIX_FLAGS),
+    "timelike": ({"nu0"}, _HELIX_FLAGS),
+    "spacelike-horizontal": (set(), _HELIX_FLAGS),
+    "horizontal": (set(), _HELIX_FLAGS),
+    "timelike-horizontal-helix": ({"m"}, {"c1", "c2", "c3"}),
+    "b3zero-spacelike": ({"p", "q"}, set()),
+    "b3zero-timelike": ({"p", "q"}, set()),
+    "geodesic": (set(), {"direction"}),
+}
+
+# A valid value for each family flag (None: the flag takes no value)
+_FLAG_VALUES = {
+    "alpha0": "0.5", "nu0": "0.8", "m": "1.3", "p": "0.4", "q": "0.6",
+    "direction": "0,0,1", "branch": "-", "phase": "0.3", "c1": "0.5",
+    "c2": "-0.5", "c3": "2", "as_printed": None,
+}
+
+
+def _flag_argv(name):
+    flag = "--" + name.replace("_", "-")
+    value = _FLAG_VALUES[name]
+    return [flag] if value is None else [flag, value]
+
+
+class TestFamilyFlags:
+    def test_family_choices_are_the_family_kinds(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        want = {k.value for k in FamilyKind} | {"horizontal"}
+        assert set(_EXPECTED_FLAGS) == want
+        for name in ("generate", "frenet", "residual"):
+            family = next(a for a in commands.choices[name]._actions
+                          if a.dest == "family")
+            assert set(family.choices) == want
+
+    @pytest.mark.parametrize("family", sorted(_EXPECTED_FLAGS))
+    def test_family_takes_exactly_its_flags(self, family, capsys):
+        required, takes = _EXPECTED_FLAGS[family]
+        base = ["generate", "--family", family, "--range", "0:0.2:0.1"]
+        for name in sorted(required):
+            base += _flag_argv(name)
+        code, out, err = run_cli(base, capsys)
+        assert (code, err) == (0, "")
+        default_rows = out
+        for name in sorted(_FLAG_VALUES):
+            if name in required:
+                argv = [a for a in base if a not in _flag_argv(name)]
+                code, out, err = run_cli(argv, capsys)
+                assert (code, out) == (2, "")
+                assert err == "error: --%s is required for the %s family\n" % (
+                    name, family)
+                continue
+            flag = _flag_argv(name)[0]
+            code, out, err = run_cli(base + _flag_argv(name), capsys)
+            if name in takes:
+                assert (code, err) == (0, ""), name
+                assert out.startswith("s,x,y,z,T1,T2,T3\n")
+            else:
+                assert (code, out) == (2, ""), name
+                assert err == (
+                    "error: %s is not a parameter of the %s family\n"
+                    % (flag, family)
+                )
+        # a flag left out takes the maker's default, spelled out here
+        defaults = {"branch": "+", "direction": "0,0,1", "phase": "0",
+                    "c1": "0", "c2": "0", "c3": "0"}
+        spelled = [a for name in sorted(takes - {"as_printed"})
+                   for a in ("--" + name, defaults[name])]
+        code, out, _ = run_cli(base + spelled, capsys)
+        assert (code, out) == (0, default_rows)
+
+    @pytest.mark.parametrize("argv", [
+        # no family at all
+        ["generate"],
+        ["generate", "--range", "0:0.2:0.1"],
+        # flags the family does not take
+        ["generate", "--family", "geodesic", "--phase", "0.3", "--c1", "5"],
+        ["generate", "--family", "b3zero-spacelike", "--p", "0.4", "--q",
+         "0.6", "--c1", "5", "--branch", "-"],
+        ["generate", "--family", "timelike-horizontal-helix", "--m", "1",
+         "--phase", "2"],
+        # non-finite values
+        ["generate", "--family", "spacelike", "--alpha0", "nan",
+         "--range", "0:0.2:0.1"],
+        ["frenet", "--family", "timelike", "--nu0", "inf",
+         "--range", "0:0.2:0.1"],
+        ["generate", "--family", "horizontal", "--c3=-inf",
+         "--range", "0:0.2:0.1"],
+        # arithmetic that overflows: in dd_exp, and in math.cosh
+        ["frenet", "--family", "spacelike", "--alpha0", "0.5",
+         "--range", "0:400:100"],
+        ["generate", "--family", "spacelike", "--alpha0", "1e3",
+         "--range", "0:0.2:0.1"],
+    ])
+    def test_rejected_with_one_error_line_and_no_rows(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 class TestFrenet:
     def test_horizontal_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -240,6 +348,27 @@ class TestFrenet:
         )
         assert code == 2
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--alpha0", "0.5"], ["--phase", "3"], ["--as-printed"],
+        ["--direction", "0,0,1"], ["--range", "0:9:1"],
+    ])
+    def test_input_rejects_family_flags_and_range(self, extra, capsys,
+                                                  tmp_path):
+        path = tmp_path / "h.csv"
+        code, _, _ = run_cli(
+            ["generate", "--family", "horizontal", "--range", "0:0.1:0.01",
+             "-o", str(path)],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(["frenet", "--input", str(path)], capsys)
+        assert code == 0 and out.startswith("s,k1,")
+        code, out, err = run_cli(
+            ["frenet", "--input", str(path)] + extra, capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: %s does not apply to --input\n" % extra[0]
 
     def test_neither_input_nor_family(self, capsys):
         code, _, err = run_cli(["frenet"], capsys)
@@ -442,6 +571,20 @@ def installed_copy(tmp_path_factory):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return tree, bin_dir
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hhcurves.cli; print('numpy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestInstalledScript:

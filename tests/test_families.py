@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hhcurves import (
     DegenerateGeodesicError,
     FamilyKind,
-    FamilyParams,
     InvalidInputError,
     check_unit_speed,
     compute_frenet,
@@ -80,12 +79,15 @@ class TestSpacelikeFamily:
         assert curve.helix.slope_hi == solve_slope("spacelike", 0.5)[1]
 
     def test_branch_aliases(self):
-        assert (
-            make_spacelike_biharmonic(0.3, branch="+").helix.slope_hi
-            == make_spacelike_biharmonic(0.3, branch=1).helix.slope_hi
-        )
-        with pytest.raises(InvalidInputError):
-            make_spacelike_biharmonic(0.3, branch=2)
+        for sign, spellings in ((1, ("+", "plus", "+1", "1")),
+                                (-1, ("-", "minus", "-1"))):
+            want = make_spacelike_biharmonic(0.3, branch=sign).helix.slope_hi
+            for spelling in spellings:
+                got = make_spacelike_biharmonic(0.3, branch=spelling)
+                assert got.helix.slope_hi == want, spelling
+        for bad in (2, "2", "up", [1]):
+            with pytest.raises(InvalidInputError):
+                make_spacelike_biharmonic(0.3, branch=bad)
 
     def test_unit_speed_and_causality(self):
         curve = make_spacelike_biharmonic(-0.8)
@@ -309,14 +311,7 @@ class TestMakeHelix:
         assert plus_dd.helix.slope_lo == 1e-18
 
 
-class TestFamilyParams:
-    def test_defaults(self):
-        params = FamilyParams(kind=FamilyKind.SPACELIKE_BIHARMONIC)
-        assert params.shape == 0.0
-        assert params.branch == 1
-        assert params.offsets == (0.0, 0.0, 0.0)
-        assert not params.as_printed
-
+class TestFamilyKind:
     def test_kind_values_are_cli_names(self):
         assert FamilyKind.SPACELIKE_HORIZONTAL.value == "spacelike-horizontal"
         assert FamilyKind.TIMELIKE_HORIZONTAL_HELIX.value == (

@@ -381,11 +381,12 @@ def _same_outcome(fn, *args, **kwargs):
 def test_out_of_range_grids_raise_what_the_point_route_raises():
     # u = a·s passes 709 between s = 100 and s = 400 for this member
     curve = families.make_spacelike_biharmonic(0.5)
-    for grid in ([0.0, 100.0, 200.0, 300.0, 400.0],
-                 [0.0, -100.0, -200.0, -300.0, -400.0]):
+    for grid in ([25.0 * i for i in range(17)],
+                 [-25.0 * i for i in range(17)]):
         for fn in (biharmonic.residual_norms, frenet.frenet_over_grid):
             assert _same_outcome(fn, curve, grid)[0] == "raised"
-    assert _outcome(biharmonic.residual_norms, curve, [0.0, 400.0]) == (
+    grid = [0.01 * i for i in range(13)] + [400.0]
+    assert _outcome(biharmonic.residual_norms, curve, grid) == (
         "raised", OverflowError, "dd_exp argument too large")
 
 
@@ -407,10 +408,15 @@ def _null_normal_helix_and_tol():
     return curve, 1.5 * k1
 
 
+# Long enough for the grid kernel; 1.5 has a null normal, 0.0 is geodesic.
+_NULL_GRID = [1.5, 1.2, 0.9, 0.6, 0.3, 0.0, -0.3, -0.6, -0.9, -1.2, -1.5,
+              -1.8, -2.1, -2.4]
+
+
 def test_degenerate_grids_raise_what_the_point_route_raises():
     geo = _geodesic_helix()
     null, tol = _null_normal_helix_and_tol()
-    null_grid = [1.5, 1.2, 0.9, 0.0, -0.9]
+    null_grid = _NULL_GRID
     with pytest.raises(NullNormalDegenerateError):
         frenet.point_data(null, 1.5, geo_tol=tol)
     with pytest.raises(GeodesicDegenerateError):
@@ -425,7 +431,7 @@ def test_degenerate_grids_give_the_same_geodesic_report():
     null, tol = _null_normal_helix_and_tol()
     for curve, grid, geo_tol in (
         (_geodesic_helix(), _VERIFY_GRID, None),
-        (null, [1.5, 1.2, 0.9, 0.0, -0.9, -1.2], tol),
+        (null, _NULL_GRID, tol),
     ):
         assert _same_outcome(biharmonic.check_biharmonic_conditions,
                              curve, grid, geo_tol=geo_tol)[0] == "ok"
@@ -451,9 +457,9 @@ def _cli(argv):
     ["frenet", "--family", "timelike", "--nu0", "-0.7", "--as-printed",
      "--range", "-2:2:0.1"],
     ["frenet", "--family", "spacelike", "--alpha0", "0.5",
-     "--range", "0:400:100"],
+     "--range", "0:400:25"],
     ["frenet", "--family", "spacelike", "--alpha0", "0.5",
-     "--range", "-400:0:100"],
+     "--range", "-400:0:25"],
 ])
 def test_cli_frenet_output_is_unchanged(argv):
     got = _cli(argv)
@@ -464,19 +470,31 @@ def test_cli_frenet_output_is_unchanged(argv):
 def test_cli_frenet_writes_the_same_degenerate_rows(monkeypatch):
     monkeypatch.setattr(cli, "_build_curve", lambda ns, s_range: _geodesic_helix())
     argv = ["frenet", "--family", "spacelike", "--alpha0", "0",
-            "--range", "-1:1:0.5"]
+            "--range", "-1:1:0.125"]
     code, out, _ = _cli(argv)
     assert code == 0
     rows = out.splitlines()[1:]
-    assert len(rows) == 5 and all(row.endswith(",1") for row in rows)
+    assert len(rows) == 17 and all(row.endswith(",1") for row in rows)
     with _per_point_route():
         assert _cli(argv) == (code, out, "")
 
 
 def test_grid_point_data_leaves_other_curves_to_point_data():
     curve = families.make_b3zero_linear("spacelike", 0.4, 0.6, (0.0, 1.0))
-    assert frenet.grid_point_data(curve, [0.2, 0.5]) == [None, None]
+    grid = [0.2, 0.5] + [0.05 * i for i in range(12)]
+    assert frenet.grid_point_data(curve, grid) == [None] * len(grid)
     helix = families.make_spacelike_biharmonic(0.5)
     assert frenet.grid_point_data(helix, [0.3]) == [None]
-    got = frenet.grid_point_data(helix, [0.3, 0.4])
-    assert got == [frenet.point_data(helix, 0.3), frenet.point_data(helix, 0.4)]
+    grid = [0.3, 0.4] + [1.0 + 0.1 * i for i in range(12)]
+    got = frenet.grid_point_data(helix, grid)
+    assert got == [frenet.point_data(helix, s) for s in grid]
+
+
+def test_grid_point_data_uses_the_grid_kernel_from_the_crossover():
+    helix = families.make_spacelike_biharmonic(0.5)
+    n = frenet._GRID_MIN_POINTS
+    grid = [-0.6 + 0.1 * i for i in range(n)]
+    assert frenet.grid_point_data(helix, grid[:-1]) == [None] * (n - 1)
+    got = frenet.grid_point_data(helix, grid)
+    assert None not in got
+    assert got == [frenet.point_data(helix, s) for s in grid]
