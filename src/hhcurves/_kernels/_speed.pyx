@@ -311,7 +311,7 @@ def project_unit_jets(jets, unit_tol):
     _load_jets(jets, t0, t1, t2, t3)
     g = c_inner(t0, t0)
     ag = fabs(g)
-    if fabs(ag - 1.0) > unit_tol:
+    if not fabs(ag - 1.0) <= unit_tol:
         raise UnitSpeedError(
             "curve is not unit-speed: |inner(T, T)| = %r differs from 1 "
             "beyond tolerance %r" % (ag, unit_tol)
@@ -589,6 +589,8 @@ cdef dd dd_exp(dd x):
         return dd_make(0.0, 0.0)
     if x.hi >= 709.0:
         raise OverflowError("dd_exp argument too large")
+    if x.hi != x.hi:  # u = a·s + phase overflowed to inf - inf
+        raise OverflowError("dd_exp argument is not a number")
     if x.hi == 0.0 and x.lo == 0.0:
         return dd_make(1.0, 0.0)
     m = floor(x.hi / LN2_HI + 0.5)

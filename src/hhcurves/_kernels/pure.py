@@ -225,7 +225,7 @@ def project_unit_jets(jets, unit_tol):
     t0, t1, t2, t3 = jets
     g = inner(t0, t0)
     ag = abs(g)
-    if abs(ag - 1.0) > unit_tol:
+    if not abs(ag - 1.0) <= unit_tol:
         raise UnitSpeedError(
             "curve is not unit-speed: |inner(T, T)| = %r differs from 1 "
             "beyond tolerance %r" % (ag, unit_tol)
@@ -454,6 +454,8 @@ class _FloatOps:
             return DD(0.0)
         if x.hi >= 709.0:
             raise OverflowError("dd_exp argument too large")
+        if x.hi != x.hi:  # u = a·s + phase overflowed to inf - inf
+            raise OverflowError("dd_exp argument is not a number")
         if x.hi == 0.0 and x.lo == 0.0:
             return DD(1.0)
         return None

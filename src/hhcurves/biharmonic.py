@@ -29,11 +29,7 @@ from dataclasses import dataclass, field
 
 from hhcurves import frenet as _frenet
 from hhcurves._kernels import pure as _pure
-from hhcurves.errors import (
-    GeodesicDegenerateError,
-    InvalidInputError,
-    NullNormalDegenerateError,
-)
+from hhcurves.errors import InvalidInputError
 from hhcurves.frame import FrameVector
 
 __all__ = [
@@ -93,11 +89,7 @@ def bitension_frenet(ext):
     This is the pure double-precision recombination; it matches
     :func:`bitension_frenet_at` up to rounding of the stored Frenet data.
     """
-    d = ext.data
-    fr = (d.k1, ext.k1_prime, ext.k1_second, d.k2, ext.k2_prime,
-          d.eps1, d.eps2, d.eps3, *d.t, *d.n, *d.b,
-          *ext.nabla_t_n, *ext.nabla_t_b)
-    return FrameVector(*_pure._tau_from_frenet(fr))
+    return FrameVector(*_pure._tau_from_frenet(_frenet.flat_from_extended(ext)))
 
 
 def identity_defect(k1, k2, eps1, eps3, b3):
@@ -107,15 +99,13 @@ def identity_defect(k1, k2, eps1, eps3, b3):
 
 def residual_norms(curve, grid, geo_tol=None, unit_tol=None):
     """Euclidean norms of τ₂ along the grid for both routes."""
-    grid = tuple(grid)
     direct = []
     fren = []
-    for s, res in zip(grid, _frenet.grid_point_data(curve, grid, geo_tol)):
-        _, tau_d, tau_f = res or _frenet.point_data(
-            curve, s, geo_tol=geo_tol, unit_tol=unit_tol
-        )
-        direct.append(_enorm(tau_d))
-        fren.append(_enorm(tau_f))
+    for res in _frenet.evaluate_grid(curve, tuple(grid), geo_tol, unit_tol):
+        if isinstance(res, Exception):
+            raise res
+        direct.append(_enorm(res[1]))
+        fren.append(_enorm(res[2]))
     return tuple(direct), tuple(fren)
 
 
@@ -136,18 +126,14 @@ def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
         tol = (DEFAULT_VERDICT_TOL_ANALYTIC if analytic
                else DEFAULT_VERDICT_TOL_SAMPLED)
 
-    frs = []
+    rows = []
     res_d = []
     res_f = []
     degenerate = 0
-    for s, res in zip(grid, _frenet.grid_point_data(curve, grid, geo_tol)):
-        try:
-            fr, tau_d, tau_f = res or _frenet.point_data(
-                curve, s, geo_tol=geo_tol, unit_tol=unit_tol
-            )
-        except (GeodesicDegenerateError, NullNormalDegenerateError):
+    for s, res in zip(grid, _frenet.evaluate_grid(curve, grid, geo_tol,
+                                                  unit_tol)):
+        if isinstance(res, Exception):
             degenerate += 1
-            frs.append(None)
             # the direct route needs no frame, so it still reports
             try:
                 res_d.append(_enorm(_frenet.direct_tau(curve, s, unit_tol)))
@@ -155,9 +141,9 @@ def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
                 res_d.append(float("nan"))
             res_f.append(float("nan"))
             continue
-        frs.append(fr)
-        res_d.append(_enorm(tau_d))
-        res_f.append(_enorm(tau_f))
+        rows.append(_frenet.frame_scalars(res[0]))
+        res_d.append(_enorm(res[1]))
+        res_f.append(_enorm(res[2]))
 
     if degenerate:
         return BiharmonicReport(
@@ -169,19 +155,14 @@ def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
             tol=tol,
         )
 
-    k1s = [fr[0] for fr in frs]
-    k2s = [fr[3] for fr in frs]
-    n3s = [fr[13] for fr in frs]
-    b3s = [fr[16] for fr in frs]
-    e1, e2, e3 = frs[0][5], frs[0][6], frs[0][7]
-    k1_mean = math.fsum(k1s) / len(k1s)
-    k2_mean = math.fsum(k2s) / len(k2s)
-    k1_dev = max(abs(v - k1_mean) for v in k1s)
-    k2_dev = max(abs(v - k2_mean) for v in k2s)
-    n3b3_max = max(abs(n3s[i] * b3s[i]) for i in range(len(grid)))
+    k1s, k2s, _, _, _, n3s, b3s = zip(*rows)
+    _, _, e1, _, e3, _, _ = rows[0]
+    k1_mean, k1_dev = _frenet._mean_max_dev(k1s)
+    k2_mean, k2_dev = _frenet._mean_max_dev(k2s)
+    n3b3_max = max(abs(n3 * b3) for n3, b3 in zip(n3s, b3s))
     defect_max = max(
-        abs(identity_defect(k1s[i], k2s[i], e1, e3, b3s[i]))
-        for i in range(len(grid))
+        abs(identity_defect(k1, k2, e1, e3, b3))
+        for k1, k2, b3 in zip(k1s, k2s, b3s)
     )
     conditions = {
         "k1_mean": k1_mean,
@@ -194,8 +175,8 @@ def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
     if abs(k2_mean) <= tol:
         # zero-torsion reduction of the identity: k1² = ε1·(ε3 + 4·B3²)
         conditions["k2_zero_form_defect"] = max(
-            abs(k1s[i] * k1s[i] - e1 * (e3 + 4.0 * b3s[i] * b3s[i]))
-            for i in range(len(grid))
+            abs(k1 * k1 - e1 * (e3 + 4.0 * b3 * b3))
+            for k1, b3 in zip(k1s, b3s)
         )
     ok = (
         k1_dev <= tol * (1.0 + abs(k1_mean))

@@ -39,12 +39,7 @@ from . import families as _families
 from . import frenet as _frenet
 from . import verify as _verify
 from .curves import integrate_frame_curve, read_curve_csv
-from .errors import (
-    GeodesicDegenerateError,
-    HHCurvesError,
-    InvalidInputError,
-    NullNormalDegenerateError,
-)
+from .errors import HHCurvesError, InvalidInputError
 
 __all__ = ["build_parser", "main"]
 
@@ -80,8 +75,10 @@ _FAMILY_FLAGS = ("alpha0", "nu0", "m", "p", "q", "direction") + _HELIX_FLAGS
 _DEFAULT_RANGE = "-2:2:0.01"
 
 # Maximum RK4 step used when `generate` has to integrate a tangent-only
-# curve (b3zero families) to obtain coordinates.
+# curve (b3zero families) to obtain coordinates, and the most steps it takes:
+# about 4 s and 50 MB on the pure backend, a range 100 long.
 _MAX_INTEGRATION_STEP = 1e-3
+_MAX_INTEGRATION_STEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +114,19 @@ def _write_text(path, text):
         except OSError:
             pass
         raise
+
+
+def _write_csv(path, header, rows):
+    """Write rows of numbers as CSV, once all of them are computed; a number
+    that is not finite is an error, so no row holds nan or inf."""
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise InvalidInputError(
+                "a result is not finite (%s): the input is outside the range "
+                "of doubles" % ",".join(map(_fmt, row))
+            )
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_range(text):
@@ -226,19 +236,18 @@ def cmd_generate(ns):
         # Tangent-only curve: integrate the coordinates from the origin at a
         # refined step that divides the output grid step exactly.
         refine = max(1, math.ceil(step / _MAX_INTEGRATION_STEP))
+        if refine * n > _MAX_INTEGRATION_STEPS:
+            raise InvalidInputError(
+                "--range needs %d integration steps of at most %r, more "
+                "than %d" % (refine * n, _MAX_INTEGRATION_STEP,
+                             _MAX_INTEGRATION_STEPS)
+            )
         integrated = integrate_frame_curve(
             curve, (0.0, 0.0, 0.0), (start, stop), step / refine
         )
         positions = [integrated.point(s) for s in grid]
-    lines = [_GENERATE_HEADER]
-    for s, pos in zip(grid, positions):
-        t = curve.tangent(s)
-        lines.append(
-            ",".join(
-                _fmt(v) for v in (s, pos[0], pos[1], pos[2], t[0], t[1], t[2])
-            )
-        )
-    _write_text(ns.output, "\n".join(lines) + "\n")
+    rows = [(s, *pos, *curve.tangent(s)) for s, pos in zip(grid, positions)]
+    _write_csv(ns.output, _GENERATE_HEADER, rows)
     return 0
 
 
@@ -270,27 +279,15 @@ def _frenet_grid_and_curve(ns):
 
 def cmd_frenet(ns):
     curve, grid = _frenet_grid_and_curve(ns)
-    lines = [_FRENET_HEADER]
-    for s, res in zip(grid, _frenet.grid_point_data(curve, grid)):
-        try:
-            fr, tau_d, tau_f = res or _frenet.point_data(curve, s)
-        except (GeodesicDegenerateError, NullNormalDegenerateError):
-            lines.append(",".join([_fmt(s)] + [_fmt(0.0)] * 9 + ["1"]))
+    rows = []
+    for s, res in zip(grid, _frenet.evaluate_grid(curve, grid)):
+        if isinstance(res, Exception):
+            rows.append((s,) + (0.0,) * 9 + (1,))
             continue
-        values = (
-            s,
-            fr[0],  # k1
-            fr[3],  # k2
-            fr[5],  # eps1
-            fr[6],  # eps2
-            fr[7],  # eps3
-            fr[13],  # N3
-            fr[16],  # B3
-            _enorm3(tau_d),
-            _enorm3(tau_f),
-        )
-        lines.append(",".join([_fmt(v) for v in values] + ["0"]))
-    _write_text(ns.output, "\n".join(lines) + "\n")
+        fr, tau_d, tau_f = res
+        rows.append((s, *_frenet.frame_scalars(fr), _enorm3(tau_d),
+                     _enorm3(tau_f), 0))
+    _write_csv(ns.output, _FRENET_HEADER, rows)
     return 0
 
 

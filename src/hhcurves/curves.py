@@ -83,6 +83,14 @@ class HelixSpec:
     slope_lo: float = 0.0
     phase: float = 0.0
 
+    def __post_init__(self):
+        values = (self.amp, self.tilt, self.slope_hi, self.slope_lo, self.phase)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidInputError(
+                "helix amp, tilt, slope and phase must be finite, got %r"
+                % (values,)
+            )
+
     @property
     def slope(self):
         """The slope as a plain double (the hi word)."""
@@ -149,7 +157,8 @@ def _tangent_from_coordinate_jets(pos, derivs):
     ``pos`` is (x, y, z) and ``derivs[m-1]`` the m-th coordinate derivative,
     m = 1..4. Returns tangent jets (T, T', T'', T''') using
     ``T = (x', y', z'/2 + x'·y − x·y')`` and the Leibniz expansion of the
-    third component's derivatives.
+    third component's derivatives. Raises :class:`InvalidInputError` when a
+    jet is not finite, as when the coordinates or their products overflow.
     """
     d = (pos,) + tuple(derivs)
     jets = []
@@ -161,7 +170,16 @@ def _tangent_from_coordinate_jets(pos, derivs):
             cjr = float(math.comb(r, j))
             acc.append(cjr * d[j + 1][0] * d[r - j][1])
             acc.append(-cjr * d[r - j][0] * d[j + 1][1])
-        jets.append((t1, t2, math.fsum(acc)))
+        try:
+            t3 = math.fsum(acc)
+        except (ValueError, OverflowError):  # inf - inf, or a sum past DBL_MAX
+            t3 = math.nan
+        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
+            raise InvalidInputError(
+                "frame tangent jet of order %d is not finite: %r"
+                % (r, (t1, t2, t3))
+            )
+        jets.append((t1, t2, t3))
     return tuple(jets)
 
 

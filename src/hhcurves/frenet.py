@@ -10,8 +10,9 @@ and the causal signs (eps1, eps2, eps3) at a point:
 
 Degeneracies raise: :class:`GeodesicDegenerateError` when ``‖∇_T T‖ <= tol``
 and :class:`NullNormalDegenerateError` when the acceleration is non-zero but
-null. Unit speed is checked, never silently enforced — see
-``project_unit_jets`` in the kernel backends for what the check tolerates.
+null; over a grid, ``evaluate_grid`` yields them instead. Unit speed is
+checked, never silently enforced — see ``project_unit_jets`` in the kernel
+backends for what the check tolerates.
 
 The Frenet frame obeys the closure identities ``∇_T N = −k1·eps1·T +
 k2·eps3·B`` and ``∇_T B = −k2·eps2·N``; tests pin both.
@@ -24,7 +25,12 @@ from dataclasses import dataclass
 
 from hhcurves import _kernels
 from hhcurves.curves import DEFAULT_UNIT_TOL_ANALYTIC, DEFAULT_UNIT_TOL_FD
-from hhcurves.errors import InvalidInputError
+from hhcurves.errors import (
+    GeodesicDegenerateError,
+    HHCurvesError,
+    InvalidInputError,
+    NullNormalDegenerateError,
+)
 from hhcurves.frame import FrameVector, cross, inner
 
 __all__ = [
@@ -32,10 +38,12 @@ __all__ = [
     "ExtendedFrenetData",
     "FrenetGridSummary",
     "point_data",
-    "grid_point_data",
+    "evaluate_grid",
     "direct_tau",
     "compute_frenet",
+    "frame_scalars",
     "extended_from_flat",
+    "flat_from_extended",
     "extended_frenet",
     "frenet_over_grid",
     "DEFAULT_GEO_TOL_ANALYTIC",
@@ -139,8 +147,14 @@ def _evaluate(curve, s, geo_tol, unit_tol, jets_kernel):
             hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
             float(s), geo_tol,
         )
-    jets = _kernels.project_unit_jets(curve.tangent_jets(s), unit_tol)
-    return jets_kernel(jets, geo_tol)
+    jets = curve.tangent_jets(s)
+    try:
+        return jets_kernel(_kernels.project_unit_jets(jets, unit_tol), geo_tol)
+    except ValueError as exc:
+        if isinstance(exc, HHCurvesError):
+            raise
+        # math.fsum meets inf - inf once products of the jets overflow
+        raise OverflowError("jet arithmetic overflows: %s" % (exc,)) from exc
 
 
 def _frame_jets(jets, geo_tol):
@@ -168,25 +182,34 @@ def point_data(curve, s, geo_tol=None, unit_tol=None):
 _GRID_MIN_POINTS = 14
 
 
-def grid_point_data(curve, grid, geo_tol=None):
-    """:func:`point_data` over a grid, in one kernel call for helix curves.
+def evaluate_grid(curve, grid, geo_tol=None, unit_tol=None, frames=False):
+    """Evaluate the curve at every grid point, lazily and in grid order.
 
-    Returns one entry per grid point: ``point_data(curve, s)``, or ``None``
-    where the caller must call :func:`point_data` itself. That is every point
-    of a curve without a helix form, a grid of fewer than 14 points (where
-    the scalar kernel costs less than one NumPy pass), and each helix point
-    that the grid kernel hands back (possibly degenerate, outside the
-    double-double ``exp`` range, or not finite), so exceptions and messages
-    stay those of :func:`point_data`.
+    Yields :func:`point_data`'s ``(fr, tau_direct, tau_frenet)``, or with
+    ``frames`` the :class:`FrenetData` of :func:`compute_frenet`, for each
+    point; a point whose frame degenerates yields its degeneracy error
+    instead, and every other error raises. A helix grid of 14 points or more
+    takes one grid-kernel pass; the other points, and those that pass hands
+    back (possibly degenerate, out of ``exp`` range, or not finite), go
+    through :func:`point_data` or :func:`compute_frenet`.
     """
     hx = getattr(curve, "helix", None)
-    if hx is None or len(grid) < _GRID_MIN_POINTS:
-        return [None] * len(grid)
-    geo_tol, _ = _tolerances(curve, geo_tol, None)
-    return _kernels.helix_eval_grid(
-        hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
-        [float(s) for s in grid], geo_tol,
-    )
+    batch = [None] * len(grid)
+    if hx is not None and len(grid) >= _GRID_MIN_POINTS:
+        batch = _kernels.helix_eval_grid(
+            hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
+            [float(s) for s in grid], _tolerances(curve, geo_tol, None)[0],
+        )
+    for s, res in zip(grid, batch):
+        if res is None:
+            try:
+                res = (compute_frenet if frames else point_data)(
+                    curve, s, geo_tol=geo_tol, unit_tol=unit_tol)
+            except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
+                res = exc
+        elif frames:
+            res = _frenet_from_flat(res[0])
+        yield res
 
 
 def direct_tau(curve, s, unit_tol=None):
@@ -237,25 +260,38 @@ def extended_frenet(curve, s, geo_tol=None, unit_tol=None):
     return extended_from_flat(fr)
 
 
+def flat_from_extended(ext):
+    """Inverse of :func:`extended_from_flat`."""
+    d = ext.data
+    return (d.k1, ext.k1_prime, ext.k1_second, d.k2, ext.k2_prime, d.eps1,
+            d.eps2, d.eps3, *d.t, *d.n, *d.b, *ext.nabla_t_n, *ext.nabla_t_b)
+
+
+def frame_scalars(fr):
+    """``(k1, k2, eps1, eps2, eps3, N3, B3)`` of a kernel's flat Frenet tuple."""
+    return fr[0], fr[3], fr[5], fr[6], fr[7], fr[13], fr[16]
+
+
+def _mean_max_dev(vals):
+    """The mean of ``vals`` and the largest distance of a value from it."""
+    mean = math.fsum(vals) / len(vals)
+    return mean, max(abs(v - mean) for v in vals)
+
+
 def frenet_over_grid(curve, grid, geo_tol=None, unit_tol=None):
     """Frenet data at every grid point plus deviation-from-mean statistics."""
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
-    data = tuple(
-        _frenet_from_flat(res[0]) if res
-        else compute_frenet(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)
-        for s, res in zip(grid, grid_point_data(curve, grid, geo_tol))
-    )
-    cols = {
-        "k1": [d.k1 for d in data],
-        "k2": [d.k2 for d in data],
-        "n3": [d.n[2] for d in data],
-        "b3": [d.b[2] for d in data],
-    }
+    data = []
+    for d in evaluate_grid(curve, grid, geo_tol, unit_tol, frames=True):
+        if isinstance(d, Exception):
+            raise d
+        data.append(d)
     stats = {}
-    for name, vals in cols.items():
-        mean = math.fsum(vals) / len(vals)
-        stats[name + "_mean"] = mean
-        stats[name + "_max_dev"] = max(abs(v - mean) for v in vals)
-    return FrenetGridSummary(grid=grid, data=data, **stats)
+    for name, vals in (("k1", [d.k1 for d in data]),
+                       ("k2", [d.k2 for d in data]),
+                       ("n3", [d.n[2] for d in data]),
+                       ("b3", [d.b[2] for d in data])):
+        stats[name + "_mean"], stats[name + "_max_dev"] = _mean_max_dev(vals)
+    return FrenetGridSummary(grid=grid, data=tuple(data), **stats)

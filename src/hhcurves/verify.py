@@ -69,8 +69,10 @@ class VerifyConfig:
     tol: float = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise InvalidInputError("seed must be an integer, got %r" % (self.seed,))
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidInputError(
+                "seed must be a non-negative integer, got %r" % (self.seed,)
+            )
         if self.tol is not None and not (
             isinstance(self.tol, (int, float)) and math.isfinite(self.tol)
             and self.tol > 0

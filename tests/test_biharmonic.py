@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hhcurves import (
     FrameCurve,
     InvalidInputError,
+    UnitSpeedError,
     bitension_direct,
     bitension_frenet,
     bitension_frenet_at,
@@ -267,3 +268,11 @@ class TestResidualNorms:
         assert all(v >= 0.0 for v in fren)
         assert max(direct) <= 1e-10
         assert max(fren) <= 1e-10
+
+    def test_nan_tangent_fails_the_unit_speed_gate(self):
+        # |inner(T, T) - 1| > tol is false for NaN; the gate must still reject
+        curve = FrameCurve(lambda s: (float("nan"), 0.0, 0.0))
+        with pytest.raises(UnitSpeedError):
+            residual_norms(curve, [0.0, 0.1])
+        with pytest.raises(UnitSpeedError):
+            check_biharmonic_conditions(curve, [0.0, 0.1])

@@ -262,6 +262,20 @@ class TestFamilyFlags:
          "--range", "0:400:100"],
         ["generate", "--family", "spacelike", "--alpha0", "1e3",
          "--range", "0:0.2:0.1"],
+        # found by tests/test_cli_fuzz.py: the slope of alpha0 = 709 is not
+        # finite, and rows of nan came out with exit 0
+        ["generate", "--family", "spacelike", "--alpha0=709.0",
+         "--range=0.0:1:0.5"],
+        # 2·c1·amp/a overflows: z = inf and T3 = nan with exit 0
+        ["generate", "--family", "horizontal", "--c1=1.7e308",
+         "--range=0:0.1:0.05"],
+        # u = a·s overflows to inf - inf: ValueError in dd_exp, exit 1
+        ["frenet", "--family", "timelike-horizontal-helix", "--m=1e+300",
+         "--range=1e+16:1.0000000000000002e+16:1.0"],
+        # 101000 RK4 steps for two rows; the fuzzing found ranges that
+        # asked for 1e13 steps and never finished
+        ["generate", "--family", "b3zero-spacelike", "--p", "0.4", "--q",
+         "1e-3", "--range=0:101:101"],
     ])
     def test_rejected_with_one_error_line_and_no_rows(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -425,6 +439,23 @@ class TestFrenet:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("row", [
+        # NaN jets: z' is finite, the higher stencils meet inf - inf
+        lambda i, s: (s, 0.0, -1e308 if i % 2 == 0 else 1e308),
+        # finite coordinates whose products x'·y and x·y' overflow
+        lambda i, s: (1e200 * s, -1e200 * s, 1e10 * s),
+    ], ids=["nan-jets", "overflow"])
+    def test_non_finite_tangent_exits_two(self, row, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            "%r,%r,%r,%r\n" % ((0.1 * i,) + row(i, 0.1 * i)) for i in range(21)
+        ), encoding="utf-8")
+        code, out, err = run_cli(["frenet", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 class TestVerify:
     def test_full_run_passes(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
@@ -457,6 +488,12 @@ class TestVerify:
     def test_custom_seed_passes(self, capsys):
         code, _, _ = run_cli(["verify", "--seed", "123"], capsys)
         assert code == 0
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli(["verify"], capsys)

@@ -229,6 +229,20 @@ class TestCsv:
             read_curve_csv(path)
 
 
+    @pytest.mark.parametrize("row", [
+        # z' is finite, but the higher stencils meet inf - inf
+        lambda i, s: (s, 0.0, -1e308 if i % 2 == 0 else 1e308),
+        # every value is finite, x'·y and x·y' are not
+        lambda i, s: (1e200 * s, -1e200 * s, 1e10 * s),
+    ], ids=["nan-jets", "overflow"])
+    def test_non_finite_tangent_jets_rejected(self, tmp_path, row):
+        text = "s,x,y,z\n" + "".join(
+            "%r,%r,%r,%r\n" % ((0.1 * i,) + row(i, 0.1 * i)) for i in range(21)
+        )
+        curve = read_curve_csv(self._write(tmp_path, text))
+        with pytest.raises(InvalidInputError, match="not finite"):
+            curve.tangent_jets(curve.samples.s_values[4])
+
 class TestIntegration:
     def test_reproduces_closed_form_coordinates(self):
         # Integrating the horizontal family's tangent from its own starting
@@ -303,3 +317,11 @@ class TestHelixSpec:
     def test_slope_property_is_hi_word(self):
         spec = HelixSpec(1, 1.0, 0.0, 2.0, 1e-20, 0.0)
         assert spec.slope == 2.0
+
+    @pytest.mark.parametrize("field", range(1, 6))
+    def test_non_finite_parameter_rejected(self, field):
+        args = [0, 1.25, 0.5, 2.0, 0.0, 0.3]
+        for bad in (math.inf, math.nan):
+            args[field] = bad
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                HelixSpec(*args)

@@ -354,12 +354,12 @@ def test_grid_hands_back_points_outside_the_exp_range():
 def _per_point_route():
     """Make every caller evaluate each point with point_data, as before the
     grid kernel existed."""
-    saved = frenet.grid_point_data
-    frenet.grid_point_data = lambda curve, grid, geo_tol=None: [None] * len(grid)
+    saved = frenet._GRID_MIN_POINTS
+    frenet._GRID_MIN_POINTS = math.inf
     try:
         yield
     finally:
-        frenet.grid_point_data = saved
+        frenet._GRID_MIN_POINTS = saved
 
 
 def _outcome(fn, *args, **kwargs):
@@ -479,22 +479,79 @@ def test_cli_frenet_writes_the_same_degenerate_rows(monkeypatch):
         assert _cli(argv) == (code, out, "")
 
 
-def test_grid_point_data_leaves_other_curves_to_point_data():
+def _routes(monkeypatch):
+    """Record which points evaluate_grid sends to the grid kernel and which
+    to point_data."""
+    calls = {"grid": [], "point": []}
+    grid_kernel, point = kernels.helix_eval_grid, frenet.point_data
+
+    def helix_eval_grid(*args):
+        calls["grid"].append(list(args[6]))
+        return grid_kernel(*args)
+
+    def point_data(curve, s, **kwargs):
+        calls["point"].append(s)
+        return point(curve, s, **kwargs)
+
+    monkeypatch.setattr(kernels, "helix_eval_grid", helix_eval_grid)
+    monkeypatch.setattr(frenet, "point_data", point_data)
+    return calls, point
+
+
+def test_evaluate_grid_leaves_other_curves_to_point_data(monkeypatch):
+    calls, point = _routes(monkeypatch)
     curve = families.make_b3zero_linear("spacelike", 0.4, 0.6, (0.0, 1.0))
     grid = [0.2, 0.5] + [0.05 * i for i in range(12)]
-    assert frenet.grid_point_data(curve, grid) == [None] * len(grid)
+    got = list(frenet.evaluate_grid(curve, grid))
+    assert got == [point(curve, s) for s in grid]
+    assert calls == {"grid": [], "point": grid}
     helix = families.make_spacelike_biharmonic(0.5)
-    assert frenet.grid_point_data(helix, [0.3]) == [None]
+    calls["point"].clear()
+    assert list(frenet.evaluate_grid(helix, [0.3])) == [point(helix, 0.3)]
+    assert calls == {"grid": [], "point": [0.3]}
+    calls["point"].clear()
     grid = [0.3, 0.4] + [1.0 + 0.1 * i for i in range(12)]
-    got = frenet.grid_point_data(helix, grid)
-    assert got == [frenet.point_data(helix, s) for s in grid]
+    got = list(frenet.evaluate_grid(helix, grid))
+    assert got == [point(helix, s) for s in grid]
+    assert calls == {"grid": [grid], "point": []}
 
 
-def test_grid_point_data_uses_the_grid_kernel_from_the_crossover():
+def test_evaluate_grid_uses_the_grid_kernel_from_the_crossover(monkeypatch):
+    calls, point = _routes(monkeypatch)
     helix = families.make_spacelike_biharmonic(0.5)
     n = frenet._GRID_MIN_POINTS
     grid = [-0.6 + 0.1 * i for i in range(n)]
-    assert frenet.grid_point_data(helix, grid[:-1]) == [None] * (n - 1)
-    got = frenet.grid_point_data(helix, grid)
-    assert None not in got
-    assert got == [frenet.point_data(helix, s) for s in grid]
+    got = list(frenet.evaluate_grid(helix, grid[:-1]))
+    assert got == [point(helix, s) for s in grid[:-1]]
+    assert calls == {"grid": [], "point": grid[:-1]}
+    calls["point"].clear()
+    got = list(frenet.evaluate_grid(helix, grid))
+    assert calls == {"grid": [grid], "point": []}
+    assert got == [point(helix, s) for s in grid]
+
+
+def test_evaluate_grid_yields_the_degeneracy_of_each_point():
+    null, tol = _null_normal_helix_and_tol()
+
+    def outcomes(frames):
+        out = []
+        for res in frenet.evaluate_grid(null, _NULL_GRID, geo_tol=tol,
+                                        frames=frames):
+            out.append((type(res), str(res)) if isinstance(res, Exception)
+                       else res)
+        return out
+
+    for frames, point in ((False, frenet.point_data),
+                          (True, frenet.compute_frenet)):
+        want = []
+        for s in _NULL_GRID:
+            try:
+                want.append(point(null, s, geo_tol=tol))
+            except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
+                want.append((type(exc), str(exc)))
+        got = outcomes(frames)
+        assert got == want
+        with _per_point_route():
+            assert outcomes(frames) == want
+        assert got[0][0] is NullNormalDegenerateError
+        assert got[5][0] is GeodesicDegenerateError

@@ -112,6 +112,11 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             VerifyConfig(seed="seven")
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(InvalidInputError):
+            VerifyConfig(seed=-1)
+
     def test_bad_tol_rejected(self):
         with pytest.raises(InvalidInputError):
             VerifyConfig(tol=0.0)
