@@ -616,6 +616,8 @@ cdef dd dd_exp(dd x):
 
 cdef void dd_cosh_sinh(dd x, dd *c, dd *sh):
     cdef dd e = dd_exp(x)
+    if e.hi == 0.0:
+        raise OverflowError("dd_exp argument too small")
     cdef dd inv = dd_div(dd_make(1.0, 0.0), e)
     c[0] = dd_scale(dd_add(e, inv), 0.5)
     sh[0] = dd_scale(dd_sub(e, inv), 0.5)

@@ -461,6 +461,12 @@ class _FloatOps:
         return None
 
     @staticmethod
+    def check_exp_nonzero(e):
+        """Raise for the 0 that dd_exp gives below its range."""
+        if e.hi == 0.0:
+            raise OverflowError("dd_exp argument too small")
+
+    @staticmethod
     def degenerate(a10, q0, geo_tol):
         """Raise the degeneracy error of a helix point, if it has one."""
         if math.hypot(_value(a10[0]), _value(a10[1]), _value(a10[2])) <= geo_tol:
@@ -511,6 +517,9 @@ class _ArrayOps:
     def exp_special(self, x):
         # Zero arguments take the series, which yields exactly DD(1.0).
         return None
+
+    def check_exp_nonzero(self, e):
+        pass
 
     def degenerate(self, a10, q0, geo_tol):
         """Mask of points that may be degenerate: a superset of the points
@@ -583,9 +592,12 @@ def dd_cosh_sinh(x, ops=_FLOAT_OPS):
     """cosh and sinh of a double-double, from a single exponential.
 
     Deriving both from one exponential keeps cosh²−sinh² = 1 to ~1e-32, which
-    is the property the helix kernel exists to preserve.
+    is the property the helix kernel exists to preserve. Below the ``dd_exp``
+    range, where the exponential is 0, the float form raises
+    :class:`OverflowError`.
     """
     e = dd_exp(x, ops)
+    ops.check_exp_nonzero(e)
     inv = DD(1.0) / e
     return _mul_pow2(e + inv, 0.5), _mul_pow2(e - inv, 0.5)
 

@@ -151,20 +151,32 @@ def fd_derivative(f, s, order, cfg):
 # ---------------------------------------------------------------------------
 
 
+def _finite_jets(jets):
+    """Return tangent jets (T, T', T'', T''') after checking they are finite.
+
+    A non-finite T cannot be unit-speed and raises :class:`UnitSpeedError`;
+    a non-finite derivative raises :class:`InvalidInputError`.
+    """
+    for r, jet in enumerate(jets):
+        if not all(math.isfinite(c) for c in jet):
+            raise (UnitSpeedError if r == 0 else InvalidInputError)(
+                "frame tangent jet of order %d is not finite: %r" % (r, jet)
+            )
+    return jets
+
+
 def _tangent_from_coordinate_jets(pos, derivs):
     """Frame-tangent jets from coordinate derivatives.
 
     ``pos`` is (x, y, z) and ``derivs[m-1]`` the m-th coordinate derivative,
     m = 1..4. Returns tangent jets (T, T', T'', T''') using
     ``T = (x', y', z'/2 + x'·y − x·y')`` and the Leibniz expansion of the
-    third component's derivatives. Raises :class:`InvalidInputError` when a
-    jet is not finite, as when the coordinates or their products overflow.
+    third component's derivatives. A jet that is not finite, as when the
+    coordinates or their products overflow, raises (see :func:`_finite_jets`).
     """
     d = (pos,) + tuple(derivs)
     jets = []
     for r in range(4):
-        t1 = d[r + 1][0]
-        t2 = d[r + 1][1]
         acc = [d[r + 1][2] / 2.0]
         for j in range(r + 1):
             cjr = float(math.comb(r, j))
@@ -174,13 +186,8 @@ def _tangent_from_coordinate_jets(pos, derivs):
             t3 = math.fsum(acc)
         except (ValueError, OverflowError):  # inf - inf, or a sum past DBL_MAX
             t3 = math.nan
-        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
-            raise InvalidInputError(
-                "frame tangent jet of order %d is not finite: %r"
-                % (r, (t1, t2, t3))
-            )
-        jets.append((t1, t2, t3))
-    return tuple(jets)
+        jets.append((d[r + 1][0], d[r + 1][1], t3))
+    return _finite_jets(tuple(jets))
 
 
 class CoordinateCurve:
@@ -366,12 +373,14 @@ class FrameCurve:
         return fd_derivative(self.tangent, s, order, self._fd)
 
     def tangent_jets(self, s):
-        return (
+        """Tangent and its first three parameter derivatives; raises when one
+        is not finite (see :func:`_finite_jets`)."""
+        return _finite_jets((
             self.tangent(s),
             self.derivative(s, 1),
             self.derivative(s, 2),
             self.derivative(s, 3),
-        )
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,18 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
 from hhcurves._kernels import pure as _ddmath
-from hhcurves.curves import CoordinateCurve, FrameCurve, HelixSpec
+from hhcurves.curves import (
+    CoordinateCurve,
+    FDConfig,
+    FrameCurve,
+    HelixSpec,
+    fd_derivative,
+)
 from hhcurves.errors import DegenerateGeodesicError, InvalidInputError
 
 __all__ = [
@@ -394,20 +401,52 @@ def _jets_mul(a, b):
     )
 
 
-def _fd_jet_wrapper(alpha, h=1e-4):
-    """Jet callable from a plain value callable via central differences."""
+# Adaptive Gauss–Legendre quadrature for β. A panel is accepted when its
+# 20-node and 10-node results agree to 1e-13·max(1, |panel|), and is split in
+# two otherwise; an integral that needs more splits than this fails closed.
+# sine_profile(0.5, 0.8, 100) over (0, 10), 160 periods, takes 500-1000.
+_GL_TOL = 1e-13
+_GL_MAX_SPLITS = 1000
 
-    def jets(s):
-        f = alpha
-        v = f(s)
-        d1 = (f(s + h) - f(s - h)) / (2.0 * h)
-        d2 = (f(s + h) - 2.0 * v + f(s - h)) / (h * h)
-        d3 = (f(s + 2 * h) / 2.0 - f(s + h) + f(s - h) - f(s - 2 * h) / 2.0) / (
-            h * h * h
-        )
-        return (v, d1, d2, d3)
 
-    return jets
+@functools.cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss–Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+def _gl_panel(f, a, b, n):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * math.fsum(w * f(mid + half * x) for x, w in _gauss_legendre(n))
+
+
+def _integrate(f, a, b):
+    """∫ f from a to b by adaptive 20-node Gauss–Legendre panels.
+
+    Raises :class:`InvalidInputError` when the panels do not settle within
+    the split limit, as for a non-finite or unresolvable integrand.
+    """
+    parts = []
+    panels = [(a, b)]
+    splits = 0
+    while panels:
+        lo, hi = panels.pop()
+        fine = _gl_panel(f, lo, hi, 20)
+        if abs(fine - _gl_panel(f, lo, hi, 10)) <= _GL_TOL * max(1.0, abs(fine)):
+            parts.append(fine)
+            continue
+        splits += 1
+        if splits > _GL_MAX_SPLITS:
+            raise InvalidInputError(
+                "beta quadrature from %r to %r did not converge within %d "
+                "panel splits" % (a, b, _GL_MAX_SPLITS)
+            )
+        mid = 0.5 * (lo + hi)
+        panels += [(mid, hi), (lo, mid)]
+    return math.fsum(parts)
 
 
 def make_b3zero_curve(kind, alpha, s_range, beta=None):
@@ -420,9 +459,13 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
 
     ``alpha`` is a profile callable: either ``alpha(s) → (α, α', α'', α''')``
     (see :func:`linear_profile` / :func:`sine_profile`) or a plain value
-    callable, in which case its derivatives are finite-differenced. ``beta``
-    optionally supplies a closed-form antiderivative ``β(s)`` with
-    ``β(s_range[0]) = 0``; by default β is obtained by adaptive quadrature.
+    callable, in which case the tangent's derivatives are finite-differenced.
+    ``beta`` optionally supplies a closed-form antiderivative ``β(s)`` with
+    ``β(s_range[0]) = 0``. By default β is integrated from ``s_range[0]`` by
+    adaptive Gauss–Legendre quadrature: 20-node panels, each split in two
+    until it agrees with the 10-node rule to ``1e-13·max(1, |panel|)``. An
+    integral that does not settle within a fixed number of splits raises
+    :class:`InvalidInputError` when the tangent is evaluated.
 
     A profile with α' ≡ 0 on the range gives a curve of vanishing curvature;
     that degenerate request raises :class:`DegenerateGeodesicError`.
@@ -447,19 +490,17 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
     if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
         raise InvalidInputError("invalid s_range %r" % (s_range,))
 
-    probe = alpha(s0)
-    if isinstance(probe, (int, float)):
-        alpha_jets = _fd_jet_wrapper(alpha)
-        analytic = False
+    analytic = not isinstance(alpha(s0), (int, float))
+    if analytic:
+        value = lambda s: alpha(s)[0]
+        slope = lambda s: alpha(s)[1]
     else:
-        alpha_jets = alpha
-        analytic = True
+        value = alpha
+        slope = lambda s: fd_derivative(lambda t: (alpha(t),), s, 1, FDConfig())[0]
 
     # reject profiles that degenerate to a geodesic (zero curvature)
     n_chk = 33
-    max_a1 = max(
-        abs(alpha_jets(s0 + (s1 - s0) * i / (n_chk - 1))[1]) for i in range(n_chk)
-    )
+    max_a1 = max(abs(slope(s0 + (s1 - s0) * i / (n_chk - 1))) for i in range(n_chk))
     if max_a1 <= 1e-12:
         raise DegenerateGeodesicError(
             "profile has vanishing derivative on the range: "
@@ -467,45 +508,29 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
         )
 
     if beta is None:
-        from scipy.integrate import quad
+        generator = math.sinh if spacelike else math.cosh
+        integrand = lambda sig: 2.0 * generator(value(sig))
+        beta = lambda s: _integrate(integrand, s0, s)
 
-        if spacelike:
-            integrand = lambda sig: 2.0 * math.sinh(alpha_jets(sig)[0])
-        else:
-            integrand = lambda sig: 2.0 * math.cosh(alpha_jets(sig)[0])
-        cache = {}
+    def tangent(s):
+        s = float(s)
+        a, b = value(s), beta(s)
+        radial, axial = ((math.cosh(a), math.sinh(a)) if spacelike
+                         else (math.sinh(a), math.cosh(a)))
+        return (radial * math.cosh(b), radial * math.sinh(b), axial)
 
-        def beta0(s):
-            v = cache.get(s)
-            if v is None:
-                v = quad(integrand, s0, s, epsabs=1e-13, epsrel=1e-13,
-                         limit=500)[0]
-                cache[s] = v
-            return v
-
-    else:
-        beta0 = beta
-
-    def full_jets(s):
-        aj = alpha_jets(float(s))
-        ach, ash = _jets_hyperbolic(aj)
+    def derivative(s, order):
+        s = float(s)
+        ach, ash = _jets_hyperbolic(alpha(s))
         if spacelike:
             radial, axial = ach, ash
         else:
             radial, axial = ash, ach
         # β' = 2·(axial component of T3's generator): jets shift by one order
-        bj = (beta0(float(s)), 2.0 * axial[0], 2.0 * axial[1], 2.0 * axial[2])
+        bj = (beta(s), 2.0 * axial[0], 2.0 * axial[1], 2.0 * axial[2])
         bch, bsh = _jets_hyperbolic(bj)
-        tx = _jets_mul(radial, bch)
-        ty = _jets_mul(radial, bsh)
-        tz = axial
-        return tuple((tx[r], ty[r], tz[r]) for r in range(4))
-
-    def tangent(s):
-        return full_jets(s)[0]
-
-    def derivative(s, order):
-        return full_jets(s)[order]
+        return (_jets_mul(radial, bch)[order], _jets_mul(radial, bsh)[order],
+                axial[order])
 
     curve = FrameCurve(tangent, derivative=derivative if analytic else None)
     curve.b3zero_kind = "spacelike" if spacelike else "timelike"

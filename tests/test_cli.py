@@ -276,12 +276,23 @@ class TestFamilyFlags:
         # asked for 1e13 steps and never finished
         ["generate", "--family", "b3zero-spacelike", "--p", "0.4", "--q",
          "1e-3", "--range=0:101:101"],
+        # below the dd_exp range: exp underflows to 0, and cosh and sinh
+        # divided by it
+        ["frenet", "--family", "spacelike", "--alpha0", "0.5",
+         "--range", "-400:0:25"],
     ])
     def test_rejected_with_one_error_line_and_no_rows(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("span", ["0:400:25", "-400:0:25"])
+    def test_out_of_exp_range_names_dd_exp(self, span, capsys):
+        code, _, err = run_cli(["frenet", "--family", "spacelike", "--alpha0",
+                                "0.5", "--range", span], capsys)
+        assert code == 2
+        assert "dd_exp argument" in err, err
 
 
 class TestFrenet:
@@ -572,8 +583,8 @@ def installed_copy(tmp_path_factory):
     """Install a copy of this checkout into a throwaway virtual environment.
 
     The copy keeps build artefacts out of the working tree. The environment
-    sees the site-packages of the interpreter running the tests, so NumPy,
-    SciPy and setuptools come from there; ``--no-deps`` keeps the install
+    sees the site-packages of the interpreter running the tests, so NumPy
+    and setuptools come from there; ``--no-deps`` keeps the install
     from fetching anything. ``setup.py develop`` is used because it builds
     without the ``wheel`` package, which setuptools older than 70.1 needs for
     a pip install. Returns ``(tree, bin_dir)``.
@@ -614,14 +625,32 @@ class TestImport:
     def test_cli_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, hhcurves.cli; print('numpy' in sys.modules)"],
+             "import sys, hhcurves.cli; "
+             "print('numpy' in sys.modules, 'scipy' in sys.modules)"],
             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
+
+    def test_verify_runs_with_scipy_blocked(self, capsys):
+        # a None entry in sys.modules makes every scipy import fail
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.modules['scipy'] = None; "
+             "from hhcurves import cli; "
+             "sys.exit(cli.main(['verify', '--seed', '7']))"],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(["verify", "--seed", "7"], capsys)
+        assert code == 0
+        assert proc.stdout == out
 
 
 class TestInstalledScript:

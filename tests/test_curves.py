@@ -15,6 +15,7 @@ from hhcurves import (
     MixedCausalityError,
     UnitSpeedError,
     causal_character_of_curve,
+    check_biharmonic_conditions,
     check_unit_speed,
     fd_derivative,
     integrate_frame_curve,
@@ -24,6 +25,7 @@ from hhcurves import (
     read_curve_csv,
     vertical_momentum,
 )
+from hhcurves.frenet import point_data
 
 GRID = tuple(-1.0 + 0.25 * i for i in range(9))
 
@@ -304,6 +306,34 @@ class TestCurveInvariants:
         bad = FrameCurve(lambda s: (2.0, 0.0, 0.0))
         with pytest.raises(UnitSpeedError):
             check_unit_speed(bad, GRID)
+
+    @staticmethod
+    def _unit_derivative(bad_order, bad_value):
+        def derivative(s, order):
+            if order == bad_order:
+                return (bad_value, 0.0, 0.0)
+            if order % 2:
+                return (math.sinh(s), math.cosh(s), 0.0)
+            return (math.cosh(s), math.sinh(s), 0.0)
+        return derivative
+
+    @pytest.mark.parametrize("curve", [
+        FrameCurve(lambda s: (math.cosh(s), math.sinh(s), 0.0),
+                   derivative=_unit_derivative(1, math.nan)),
+        FrameCurve(lambda s: (math.cosh(s), math.sinh(s), 0.0),
+                   derivative=_unit_derivative(3, math.inf)),
+        # unit-speed at 0.5 only: its second difference there overflows
+        FrameCurve(lambda s: (1.0, 0.0, 0.0) if s == 0.5
+                   else (1e308, -1e308, 0.0)),
+    ], ids=["nan-order-1", "inf-order-3", "fd-overflow"])
+    def test_non_finite_frame_jets_rejected(self, curve):
+        # these passed the unit-speed gate and gave NaN residuals and taus
+        with pytest.raises(InvalidInputError, match="not finite"):
+            curve.tangent_jets(0.5)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            point_data(curve, 0.5)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            check_biharmonic_conditions(curve, (0.5,))
 
 
 class TestHelixSpec:

@@ -25,6 +25,8 @@ from hhcurves import (
     sine_profile,
     solve_slope,
 )
+from hhcurves import families
+from hhcurves.verify import VerifyConfig, verify_claim
 
 GRID = tuple(-1.0 + 0.25 * i for i in range(9))
 
@@ -232,6 +234,41 @@ class TestB3ZeroCurves:
         data = compute_frenet(curve, 0.2)
         assert abs(data.b[2]) <= 1e-5
 
+    def test_plain_value_profile_is_called_once_per_argument(self):
+        calls = []
+
+        def alpha(s):
+            calls.append(s)
+            return 0.4 + 0.3 * s
+
+        closed = make_b3zero_curve("spacelike", alpha, (0.0, 1.0),
+                                   beta=lambda s: 0.5 * s)
+        calls.clear()
+        closed.tangent(0.5)
+        assert calls == [0.5]
+        # with β from quadrature, one more call per node of its one panel:
+        # 20 nodes for the result and 10 for its error estimate
+        quadrature = make_b3zero_curve("spacelike", alpha, (0.0, 1.0))
+        calls.clear()
+        quadrature.tangent(0.5)
+        assert len(calls) == 31 and calls.count(0.5) == 1
+
+    @pytest.mark.parametrize("kind", ["spacelike", "timelike"])
+    def test_plain_value_and_jet_profiles_give_equal_tangents(self, kind):
+        plain = make_b3zero_curve(kind, lambda s: 0.4 + 0.3 * s, (0.0, 1.0))
+        jets = make_b3zero_curve(kind, linear_profile(0.4, 0.3), (0.0, 1.0))
+        for s in (0.0, 0.15, 0.5, 0.9, 1.0):
+            assert plain.tangent(s) == jets.tangent(s)
+
+    @pytest.mark.parametrize("alpha", [
+        lambda s: 0.4 + 0.3 * s if s < 0.5 else math.nan,
+        sine_profile(0.5, 0.8, 1e4),
+    ], ids=["nan", "fast-sine"])
+    def test_unresolved_beta_quadrature_raises(self, alpha):
+        curve = make_b3zero_curve("spacelike", alpha, (0.0, 1.0))
+        with pytest.raises(InvalidInputError, match="did not converge"):
+            curve.tangent(0.9)
+
     def test_constant_profile_rejected(self):
         with pytest.raises(DegenerateGeodesicError):
             make_b3zero_linear("spacelike", 0.5, 0.0, (-1.0, 1.0))
@@ -247,6 +284,60 @@ class TestB3ZeroCurves:
             make_b3zero_linear("spacelike", 0.0, 1.0, (1.0, -1.0))
         with pytest.raises(InvalidInputError):
             make_b3zero_curve("spacelike", linear_profile(0.0, 1.0), (0.0,))
+
+
+class TestBetaQuadrature:
+    """β from the Gauss–Legendre panels against mpmath at 40 digits."""
+
+    @staticmethod
+    def _assert_beta(kind, p, q, w, s0, s, breaks=1):
+        """Profile p + q·sin(w·t), or p + q·t when w is None."""
+        mpmath = pytest.importorskip("mpmath")
+        spacelike = kind.endswith("spacelike")
+        generator = math.sinh if spacelike else math.cosh
+        profile = linear_profile(p, q) if w is None else sine_profile(p, q, w)
+        got = families._integrate(lambda t: 2.0 * generator(profile(t)[0]),
+                                  s0, s)
+        with mpmath.workdps(40):
+            exact = mpmath.sinh if spacelike else mpmath.cosh
+            if w is None:
+                alpha = lambda t: p + q * t
+            else:
+                alpha = lambda t: p + q * mpmath.sin(w * t)
+            want = mpmath.quad(lambda t: 2 * exact(alpha(t)),
+                               mpmath.linspace(s0, s, breaks + 1))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+
+    @pytest.mark.parametrize("kind", ["spacelike", "timelike"])
+    @pytest.mark.parametrize("p, q, w, s_end, breaks", [
+        # one 20-node panel is off by 0.45 here; the panels must split
+        (0.5, 0.8, 12.0, 6.0, 12),
+        (1.0, 2.0, None, 3.0, 1),
+    ], ids=["sine-12-periods", "linear-steep"])
+    def test_stress_profiles(self, kind, p, q, w, s_end, breaks):
+        self._assert_beta(kind, p, q, w, 0.0, s_end, breaks)
+
+    @pytest.mark.parametrize("claim", ["b3zero-signs", "b3zero-k2"])
+    def test_verify_sine_corpus(self, claim, monkeypatch):
+        shapes, kinds = [], []
+        make_profile, make_curve = families.sine_profile, families.make_b3zero_curve
+
+        def record_profile(p, q, w):
+            shapes.append((p, q, w))
+            return make_profile(p, q, w)
+
+        def record_curve(kind, alpha, s_range, beta=None):
+            if beta is None:
+                kinds.append((kind, s_range[0]))
+            return make_curve(kind, alpha, s_range, beta=beta)
+
+        monkeypatch.setattr(families, "sine_profile", record_profile)
+        monkeypatch.setattr(families, "make_b3zero_curve", record_curve)
+        verify_claim(claim, VerifyConfig(seed=7))
+        assert len(shapes) == len(kinds) == 6
+        for (p, q, w), (kind, s0) in zip(shapes, kinds):
+            for s in (0.15, 0.55, 0.9):
+                self._assert_beta(kind, p, q, w, s0, s)
 
 
 class TestGeodesics:
