@@ -8,6 +8,7 @@ import forces the pure backend — a development and testing knob, not part of
 the CLI contract.
 """
 
+import numbers
 import os
 
 from hhcurves.errors import HHCurvesError
@@ -39,13 +40,19 @@ else:
                         geo_tol):
         """``pure.helix_eval_grid`` on the compiled kernel: a loop over its
         ``helix_eval``, which is faster per point than NumPy at any grid size.
+        Each argument but ``s_array`` is one value or one entry per point.
         Points where it raises come back as ``None``; the caller evaluates
         them again one by one and meets the same exception."""
+        n = len(s_array)
+        form, amp, tilt, slope_hi, slope_lo, phase, geo_tol = (
+            [v] * n if isinstance(v, numbers.Real) else v
+            for v in (form, amp, tilt, slope_hi, slope_lo, phase, geo_tol)
+        )
         out = []
-        for s in s_array:
+        for *args, s, tol in zip(form, amp, tilt, slope_hi, slope_lo, phase,
+                                 s_array, geo_tol):
             try:
-                out.append(_impl.helix_eval(form, amp, tilt, slope_hi,
-                                            slope_lo, phase, float(s), geo_tol))
+                out.append(_impl.helix_eval(*args, float(s), tol))
             except (ArithmeticError, ValueError, HHCurvesError):
                 out.append(None)
         return out

@@ -654,10 +654,8 @@ def _helix(ops, form, amp, tilt, a, u, geo_tol):
     arrays over a grid; ``degenerate`` is what ``ops.degenerate`` returned.
     """
     ch, sh = dd_cosh_sinh(u, ops)
-    if form == 0:
-        even, odd = ch, sh
-    else:
-        even, odd = sh, ch
+    form0 = form == 0
+    even, odd = ops.select(form0, ch, sh), ops.select(form0, sh, ch)
     amp_dd = DD(amp)
     zero = DD(0.0)
     t0 = (amp_dd * even, amp_dd * odd, DD(tilt))
@@ -763,6 +761,10 @@ def helix_eval_grid(form, amp, tilt, slope_hi, slope_lo, phase, s_array,
                     geo_tol):
     """:func:`helix_eval` at every point of ``s_array``, in one NumPy pass.
 
+    Every argument but ``s_array`` is either one value for all points or a
+    sequence with one entry per point, so one pass can cover the points of
+    many helices, of both forms, each with its own ``geo_tol``.
+
     Returns a list with one entry per point: what ``helix_eval`` returns for
     that point, bit for bit, or ``None`` where the point must go through
     ``helix_eval`` itself. Those are the points that may be degenerate, whose
@@ -773,6 +775,10 @@ def helix_eval_grid(form, amp, tilt, slope_hi, slope_lo, phase, s_array,
     import numpy as np
 
     s = np.asarray(s_array, dtype=float)
+    form, amp, tilt, slope_hi, slope_lo, phase, geo_tol = (
+        np.asarray(v, dtype=float)
+        for v in (form, amp, tilt, slope_hi, slope_lo, phase, geo_tol)
+    )
     a = DD(slope_hi, slope_lo)
     u = a * s + phase
     with np.errstate(all="ignore"):

@@ -37,6 +37,7 @@ __all__ = [
     "bitension_direct",
     "bitension_frenet_at",
     "bitension_frenet",
+    "route_norms",
     "residual_norms",
     "check_biharmonic_conditions",
     "identity_defect",
@@ -97,16 +98,24 @@ def identity_defect(k1, k2, eps1, eps3, b3):
     return k1 * k1 * eps1 * eps3 + k2 * k2 - 1.0 - 4.0 * eps3 * b3 * b3
 
 
-def residual_norms(curve, grid, geo_tol=None, unit_tol=None):
-    """Euclidean norms of τ₂ along the grid for both routes."""
+def route_norms(results):
+    """Euclidean norms of τ₂ by both routes, from the point results of
+    :func:`frenet.evaluate_points`; raises the first degeneracy error among
+    them."""
     direct = []
     fren = []
-    for res in _frenet.evaluate_grid(curve, tuple(grid), geo_tol, unit_tol):
+    for res in results:
         if isinstance(res, Exception):
             raise res
         direct.append(_enorm(res[1]))
         fren.append(_enorm(res[2]))
     return tuple(direct), tuple(fren)
+
+
+def residual_norms(curve, grid, geo_tol=None, unit_tol=None):
+    """Euclidean norms of τ₂ along the grid for both routes."""
+    return route_norms(_frenet.evaluate_grid(curve, tuple(grid), geo_tol,
+                                             unit_tol))
 
 
 def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,

@@ -463,9 +463,11 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
     ``beta`` optionally supplies a closed-form antiderivative ``β(s)`` with
     ``β(s_range[0]) = 0``. By default β is integrated from ``s_range[0]`` by
     adaptive Gauss–Legendre quadrature: 20-node panels, each split in two
-    until it agrees with the 10-node rule to ``1e-13·max(1, |panel|)``. An
-    integral that does not settle within a fixed number of splits raises
-    :class:`InvalidInputError` when the tangent is evaluated.
+    until it agrees with the 10-node rule to ``1e-13·max(1, |panel|)``. The
+    curve keeps the β of its latest argument, so the tangent and its three
+    derivatives at one point share one integral. An integral that does not
+    settle within a fixed number of splits raises :class:`InvalidInputError`
+    when the tangent is evaluated.
 
     A profile with α' ≡ 0 on the range gives a curve of vanishing curvature;
     that degenerate request raises :class:`DegenerateGeodesicError`.
@@ -510,7 +512,17 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
     if beta is None:
         generator = math.sinh if spacelike else math.cosh
         integrand = lambda sig: 2.0 * generator(value(sig))
-        beta = lambda s: _integrate(integrand, s0, s)
+        last = (None, None)  # the key and β of the latest argument
+
+        def beta(s):
+            # tangent_jets asks for β at one s up to four times: integrate
+            # once. The key tells -0.0 from 0.0, whose β may differ in sign.
+            nonlocal last
+            key = (s, math.copysign(1.0, s))
+            memo = last
+            if memo[0] != key:
+                memo = last = (key, _integrate(integrand, s0, s))
+            return memo[1]
 
     def tangent(s):
         s = float(s)

@@ -10,7 +10,7 @@ and the causal signs (eps1, eps2, eps3) at a point:
 
 Degeneracies raise: :class:`GeodesicDegenerateError` when ``‖∇_T T‖ <= tol``
 and :class:`NullNormalDegenerateError` when the acceleration is non-zero but
-null; over a grid, ``evaluate_grid`` yields them instead. Unit speed is
+null; over many points, ``evaluate_points`` yields them instead. Unit speed is
 checked, never silently enforced — see ``project_unit_jets`` in the kernel
 backends for what the check tolerates.
 
@@ -38,14 +38,17 @@ __all__ = [
     "ExtendedFrenetData",
     "FrenetGridSummary",
     "point_data",
+    "evaluate_points",
     "evaluate_grid",
     "direct_tau",
     "compute_frenet",
     "frame_scalars",
+    "frenet_from_flat",
     "extended_from_flat",
     "flat_from_extended",
     "extended_frenet",
     "frenet_over_grid",
+    "summarize_frames",
     "DEFAULT_GEO_TOL_ANALYTIC",
     "DEFAULT_GEO_TOL_FD",
 ]
@@ -172,35 +175,47 @@ def point_data(curve, s, geo_tol=None, unit_tol=None):
     return _evaluate(curve, s, geo_tol, unit_tol, _kernels.point_eval)
 
 
-# Fewest points for which a helix grid goes through the grid kernel. On the
-# pure backend one NumPy pass cost 5.2-5.9 ms at any size from 1 to 81
-# points, against 0.45 ms a point for point_data; in a second run, on a
-# slower phase of the same host, 11.5-12.4 ms against 0.90 ms a point. The
-# pass broke even at 13 points (ratio 0.98 and 1.03) and won from 14 (0.89
-# and 0.95). Medians of 50 and 80 interleaved calls on two helices, Python
-# 3.11, NumPy 2.4, 2 vCPUs.
+# Fewest helix points, counted over all the curves of one call, for which
+# they go through the grid kernel. On the pure backend one NumPy pass cost
+# 5.2-5.9 ms at any size from 1 to 81 points, against 0.45 ms a point for
+# point_data; in a second run, on a slower phase of the same host, 11.5-12.4
+# ms against 0.90 ms a point. The pass broke even at 13 points (ratio 0.98
+# and 1.03) and won from 14 (0.89 and 0.95). Medians of 50 and 80
+# interleaved calls on two helices, Python 3.11, NumPy 2.4, 2 vCPUs. Helix
+# parameters given per point cost no more than one set for all: 7.0 and
+# 11.9 ms at 14 points against 8.2 and 12.2 ms (8.2 and 13.4 ms for 14
+# point_data calls). Past 81 points a pass grows slowly: 18-26 ms at 820
+# points and 30-38 ms at 1458, on the same host.
 _GRID_MIN_POINTS = 14
 
 
-def evaluate_grid(curve, grid, geo_tol=None, unit_tol=None, frames=False):
-    """Evaluate the curve at every grid point, lazily and in grid order.
+def evaluate_points(pairs, geo_tol=None, unit_tol=None, frames=False):
+    """Evaluate each ``(curve, s)`` pair, lazily and in input order.
 
     Yields :func:`point_data`'s ``(fr, tau_direct, tau_frenet)``, or with
     ``frames`` the :class:`FrenetData` of :func:`compute_frenet`, for each
-    point; a point whose frame degenerates yields its degeneracy error
-    instead, and every other error raises. A helix grid of 14 points or more
-    takes one grid-kernel pass; the other points, and those that pass hands
-    back (possibly degenerate, out of ``exp`` range, or not finite), go
-    through :func:`point_data` or :func:`compute_frenet`.
+    pair; a point whose frame degenerates yields its degeneracy error
+    instead, and every other error raises. When the pairs hold 14 helix
+    points or more, those of every curve take one grid-kernel pass, each
+    with its curve's ``geo_tol``; the other points, and those that pass
+    hands back (possibly degenerate, out of ``exp`` range, or not finite),
+    go through :func:`point_data` or :func:`compute_frenet`.
     """
-    hx = getattr(curve, "helix", None)
-    batch = [None] * len(grid)
-    if hx is not None and len(grid) >= _GRID_MIN_POINTS:
-        batch = _kernels.helix_eval_grid(
-            hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
-            [float(s) for s in grid], _tolerances(curve, geo_tol, None)[0],
+    pairs = list(pairs)
+    batch = [None] * len(pairs)
+    on_helix = [i for i, (curve, _) in enumerate(pairs)
+                if getattr(curve, "helix", None) is not None]
+    if len(on_helix) >= _GRID_MIN_POINTS:
+        params = [(hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase)
+                  for hx in (pairs[i][0].helix for i in on_helix)]
+        results = _kernels.helix_eval_grid(
+            *zip(*params),
+            [float(pairs[i][1]) for i in on_helix],
+            [_tolerances(pairs[i][0], geo_tol, None)[0] for i in on_helix],
         )
-    for s, res in zip(grid, batch):
+        for i, res in zip(on_helix, results):
+            batch[i] = res
+    for (curve, s), res in zip(pairs, batch):
         if res is None:
             try:
                 res = (compute_frenet if frames else point_data)(
@@ -208,8 +223,13 @@ def evaluate_grid(curve, grid, geo_tol=None, unit_tol=None, frames=False):
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 res = exc
         elif frames:
-            res = _frenet_from_flat(res[0])
+            res = frenet_from_flat(res[0])
         yield res
+
+
+def evaluate_grid(curve, grid, geo_tol=None, unit_tol=None, frames=False):
+    """:func:`evaluate_points` at every point of one curve's grid."""
+    return evaluate_points([(curve, s) for s in grid], geo_tol, unit_tol, frames)
 
 
 def direct_tau(curve, s, unit_tol=None):
@@ -223,7 +243,8 @@ def direct_tau(curve, s, unit_tol=None):
     return _kernels.bitension_direct_jets(jets)
 
 
-def _frenet_from_flat(fr):
+def frenet_from_flat(fr):
+    """:class:`FrenetData` of the flat Frenet tuple of a kernel."""
     return FrenetData(
         t=FrameVector(*fr[8:11]),
         n=FrameVector(*fr[11:14]),
@@ -239,13 +260,13 @@ def _frenet_from_flat(fr):
 def compute_frenet(curve, s, geo_tol=None, unit_tol=None):
     """Frenet data of the curve at parameter value ``s``."""
     fr = _evaluate(curve, s, geo_tol, unit_tol, _frame_jets)[0]
-    return _frenet_from_flat(fr)
+    return frenet_from_flat(fr)
 
 
 def extended_from_flat(fr):
     """:class:`ExtendedFrenetData` of the flat Frenet tuple of a kernel."""
     return ExtendedFrenetData(
-        data=_frenet_from_flat(fr),
+        data=frenet_from_flat(fr),
         k1_prime=fr[1],
         k1_second=fr[2],
         k2_prime=fr[4],
@@ -278,6 +299,17 @@ def _mean_max_dev(vals):
     return mean, max(abs(v - mean) for v in vals)
 
 
+def summarize_frames(grid, data):
+    """:class:`FrenetGridSummary` of the Frenet data at the grid points."""
+    stats = {}
+    for name, vals in (("k1", [d.k1 for d in data]),
+                       ("k2", [d.k2 for d in data]),
+                       ("n3", [d.n[2] for d in data]),
+                       ("b3", [d.b[2] for d in data])):
+        stats[name + "_mean"], stats[name + "_max_dev"] = _mean_max_dev(vals)
+    return FrenetGridSummary(grid=tuple(grid), data=tuple(data), **stats)
+
+
 def frenet_over_grid(curve, grid, geo_tol=None, unit_tol=None):
     """Frenet data at every grid point plus deviation-from-mean statistics."""
     grid = tuple(float(s) for s in grid)
@@ -288,10 +320,4 @@ def frenet_over_grid(curve, grid, geo_tol=None, unit_tol=None):
         if isinstance(d, Exception):
             raise d
         data.append(d)
-    stats = {}
-    for name, vals in (("k1", [d.k1 for d in data]),
-                       ("k2", [d.k2 for d in data]),
-                       ("n3", [d.n[2] for d in data]),
-                       ("b3", [d.b[2] for d in data])):
-        stats[name + "_mean"], stats[name + "_max_dev"] = _mean_max_dev(vals)
-    return FrenetGridSummary(grid=grid, data=tuple(data), **stats)
+    return summarize_frames(grid, data)

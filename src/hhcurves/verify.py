@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from hhcurves import biharmonic as _biharmonic
 from hhcurves import connection as _connection
@@ -149,6 +150,25 @@ def _vdiff(u, v):
 
 def _vmax(u):
     return max(abs(u[i]) for i in range(3))
+
+
+def _evaluated(pairs, frames=False):
+    """:func:`frenet.evaluate_points` over the ``(curve, s)`` pairs, in
+    order; a degeneracy error raises where it is met, as from the per-point
+    call."""
+    for res in _frenet.evaluate_points(pairs, frames=frames):
+        if isinstance(res, Exception):
+            raise res
+        yield res
+
+
+def _grid_evidence(results, grid):
+    """Both routes' τ₂ norms and the Frenet summary of one curve's grid,
+    from the next ``len(grid)`` entries of ``results``."""
+    points = list(islice(results, len(grid)))
+    direct, fren = _biharmonic.route_norms(points)
+    frames = [_frenet.frenet_from_flat(p[0]) for p in points]
+    return direct, fren, _frenet.summarize_frames(grid, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +385,7 @@ def _check_bitension_conditions(cfg, rng):
         (_families.make_b3zero_linear("spacelike", 0.4, 0.6, (0.0, 1.0)),
          (0.2, 0.5, 0.8)),
     ]
-    closure_max = 0.0
-    route_max = 0.0
-    for curve, pts in samples:
-        for s in pts:
-            fr, tau_d, tau_f = _frenet.point_data(curve, s)
-            closure_max = max(closure_max, _closure_residuals(curve, s, fr))
-            route_max = max(route_max, _route_gap(tau_d, tau_f))
+    helices = []
     for _ in range(40):
         tilt = float(rng.uniform(-1.0, 1.0))
         phase = float(rng.uniform(-1.0, 1.0))
@@ -383,10 +397,19 @@ def _check_bitension_conditions(cfg, rng):
         if abs(amp * (slope - 2.0 * (math.sinh(tilt) if kind == "spacelike"
                                      else math.cosh(tilt)))) < 0.2:
             slope += 1.5
-        hel = _families.make_helix(kind, tilt, slope, phase)
-        for s in (-0.7, 0.4):
-            _, tau_d, tau_f = _frenet.point_data(hel, s)
-            route_max = max(route_max, _route_gap(tau_d, tau_f))
+        helices.append(_families.make_helix(kind, tilt, slope, phase))
+    sample_pairs = [(curve, s) for curve, pts in samples for s in pts]
+    results = _evaluated(
+        sample_pairs + [(hel, s) for hel in helices for s in (-0.7, 0.4)]
+    )
+    closure_max = 0.0
+    route_max = 0.0
+    for curve, s in sample_pairs:
+        fr, tau_d, tau_f = next(results)
+        closure_max = max(closure_max, _closure_residuals(curve, s, fr))
+        route_max = max(route_max, _route_gap(tau_d, tau_f))
+    for _, tau_d, tau_f in results:
+        route_max = max(route_max, _route_gap(tau_d, tau_f))
     # third-condition factor: direct oracle on a curve with N3·B3 != 0
     gen = _generic_frame_curve()
     ext = _frenet.extended_frenet(gen, 0.0)
@@ -436,46 +459,53 @@ def _check_bitension_conditions(cfg, rng):
 
 def _family_sweep(cfg, rng, shapes, maker, eps_want, timelike):
     tol = _tol(cfg, 1e-9)
-    grid = [-2.0 + 0.05 * i for i in range(81)]
-    worst = 0.0
-    const_dev = 0.0
-    printed_min = math.inf
-    rows = []
+    grid = tuple(-2.0 + 0.05 * i for i in range(81))
+    cases = []
     for shape in shapes:
         for branch in (1, -1):
             phase = float(rng.uniform(-1.0, 1.0))
             offsets = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 3))
             curve = maker(shape, branch=branch, phase=phase, offsets=offsets)
-            direct, fren = _biharmonic.residual_norms(curve, grid)
-            res = max(max(direct), max(fren))
-            worst = max(worst, res)
-            summ = _frenet.frenet_over_grid(curve, grid)
-            amp = math.sinh(shape) if timelike else math.cosh(shape)
-            tilt = math.cosh(shape) if timelike else math.sinh(shape)
-            slope = curve.helix.slope
-            k1_want = abs(amp * (slope - 2.0 * tilt))
-            k2_want = tilt * (slope - tilt) - amp * amp
-            dev = max(
-                abs(summ.k1_mean - k1_want), summ.k1_max_dev,
-                abs(summ.k2_mean - k2_want), summ.k2_max_dev,
-                abs(abs(summ.b3_mean) - abs(amp)), summ.b3_max_dev,
-                abs(summ.n3_mean), summ.n3_max_dev,
-            )
-            const_dev = max(const_dev, dev)
-            eps_ok = all(
-                (d.eps1, d.eps2, d.eps3) == eps_want for d in summ.data
-            )
-            if not eps_ok:
-                const_dev = math.inf
             printed = maker(shape, branch=branch, phase=phase,
                             offsets=offsets, as_printed=True)
-            pres = _biharmonic.residual_norms(printed, [0.0])[0][0]
-            printed_min = min(printed_min, pres)
-            rows.append(
-                "shape=%s branch=%+d: residual=%s, const_dev=%s, "
-                "printed_slope_residual_s0=%s"
-                % (repr(shape), branch, _fmt(res), _fmt(dev), _fmt(pres))
-            )
+            cases.append((shape, branch, curve, printed))
+    # each curve's grid, then its printed twin at s = 0, all in one pass
+    results = _evaluated([
+        pair for _, _, curve, printed in cases
+        for pair in [(curve, s) for s in grid] + [(printed, 0.0)]
+    ])
+    worst = 0.0
+    const_dev = 0.0
+    printed_min = math.inf
+    rows = []
+    for shape, branch, curve, _ in cases:
+        direct, fren, summ = _grid_evidence(results, grid)
+        res = max(max(direct), max(fren))
+        worst = max(worst, res)
+        amp = math.sinh(shape) if timelike else math.cosh(shape)
+        tilt = math.cosh(shape) if timelike else math.sinh(shape)
+        slope = curve.helix.slope
+        k1_want = abs(amp * (slope - 2.0 * tilt))
+        k2_want = tilt * (slope - tilt) - amp * amp
+        dev = max(
+            abs(summ.k1_mean - k1_want), summ.k1_max_dev,
+            abs(summ.k2_mean - k2_want), summ.k2_max_dev,
+            abs(abs(summ.b3_mean) - abs(amp)), summ.b3_max_dev,
+            abs(summ.n3_mean), summ.n3_max_dev,
+        )
+        const_dev = max(const_dev, dev)
+        eps_ok = all(
+            (d.eps1, d.eps2, d.eps3) == eps_want for d in summ.data
+        )
+        if not eps_ok:
+            const_dev = math.inf
+        pres = _biharmonic.route_norms([next(results)])[0][0]
+        printed_min = min(printed_min, pres)
+        rows.append(
+            "shape=%s branch=%+d: residual=%s, const_dev=%s, "
+            "printed_slope_residual_s0=%s"
+            % (repr(shape), branch, _fmt(res), _fmt(dev), _fmt(pres))
+        )
     confirmed = max(worst, const_dev)
     ok = confirmed <= tol
     erratum_shown = printed_min > 100.0 * tol
@@ -591,10 +621,7 @@ def _check_b3zero_k2(cfg, rng):
 
 def _check_helix_lemma(cfg, rng):
     tol = _tol(cfg, 1e-9)
-    worst = 0.0
-    signs_ok = True
-    flat_outside = True
-    n0 = n1 = 0
+    lemma = []
     for _ in range(35):
         kind = "spacelike" if rng.uniform() < 0.5 else "timelike"
         tilt = float(rng.uniform(-1.0, 1.0))
@@ -609,15 +636,8 @@ def _check_helix_lemma(cfg, rng):
         hel = _families.make_helix(kind, tilt, slope, phase)
         k1_want = abs(amp * (slope - 2.0 * t3))
         k2_want = t3 * (slope - t3) - amp * amp
-        for s in (-0.6, 0.3):
-            d = _frenet.compute_frenet(hel, s)
-            worst = max(
-                worst, abs(d.n[2]), abs(d.k1 - k1_want),
-                abs(d.k2 - k2_want), abs(abs(d.b[2]) - abs(amp)),
-            )
-            if d.eps1 != -d.eps3 or d.eps2 != -1.0:
-                signs_ok = False
-            n0 += 1
+        lemma.append((hel, k1_want, k2_want, amp))
+    flat = []
     for _ in range(10):
         theta = float(rng.uniform(-0.6, 0.6))
         slope = math.copysign(float(rng.uniform(0.5, 2.5)),
@@ -627,9 +647,32 @@ def _check_helix_lemma(cfg, rng):
         t3 = math.sin(theta)
         if abs(amp * (slope - 2.0 * t3)) < 0.2:
             continue
-        k2_want = -t3 * (slope - t3) - amp * amp
-        for s in (-0.4, 0.5):
-            d = _frenet.compute_frenet(hel, s)
+        flat.append((hel, -t3 * (slope - t3) - amp * amp))
+    members = (
+        _families.make_spacelike_biharmonic(0.5, branch=1),
+        _families.make_timelike_biharmonic(0.5, branch=-1),
+    )
+    frames = _evaluated(
+        [(hel, s) for hel, *_ in lemma for s in (-0.6, 0.3)]
+        + [(hel, s) for hel, _ in flat for s in (-0.4, 0.5)]
+        + [(curve, s) for curve in members for s in (-0.5, 0.0, 0.8)],
+        frames=True,
+    )
+    worst = 0.0
+    signs_ok = True
+    flat_outside = True
+    n0 = n1 = 0
+    for _, k1_want, k2_want, amp in lemma:
+        for d in islice(frames, 2):
+            worst = max(
+                worst, abs(d.n[2]), abs(d.k1 - k1_want),
+                abs(d.k2 - k2_want), abs(abs(d.b[2]) - abs(amp)),
+            )
+            if d.eps1 != -d.eps3 or d.eps2 != -1.0:
+                signs_ok = False
+            n0 += 1
+    for _, k2_want in flat:
+        for d in islice(frames, 2):
             worst = max(worst, abs(d.n[2]), abs(d.k2 - k2_want))
             # these tangents have |T3| < 1: outside the two displayed forms,
             # and the sign conclusion does not extend to them
@@ -637,19 +680,14 @@ def _check_helix_lemma(cfg, rng):
                 flat_outside = False
             n1 += 1
     defect_max = 0.0
-    for curve in (
-        _families.make_spacelike_biharmonic(0.5, branch=1),
-        _families.make_timelike_biharmonic(0.5, branch=-1),
-    ):
-        for s in (-0.5, 0.0, 0.8):
-            d = _frenet.compute_frenet(curve, s)
-            defect_max = max(
-                defect_max,
-                abs(_biharmonic.identity_defect(d.k1, d.k2, d.eps1, d.eps3,
-                                                d.b[2])),
-            )
-            if abs(d.b[2]) <= tol:
-                signs_ok = False
+    for d in frames:  # the members' points
+        defect_max = max(
+            defect_max,
+            abs(_biharmonic.identity_defect(d.k1, d.k2, d.eps1, d.eps3,
+                                            d.b[2])),
+        )
+        if abs(d.b[2]) <= tol:
+            signs_ok = False
     worst = max(worst, defect_max)
     ok = worst <= tol and signs_ok and flat_outside
     status = STATUS_CONFIRMED if ok else STATUS_REFUTED_AS_PRINTED
@@ -669,18 +707,20 @@ def _check_helix_lemma(cfg, rng):
 def _check_horizontal_family(cfg, rng):
     tol = _tol(cfg, 1e-9)
     grid = [-2.0 + 0.05 * i for i in range(81)]
-    worst = 0.0
-    const_dev = 0.0
-    horiz_max = 0.0
+    curves = []
     for branch in (1, -1):
         phase = float(rng.uniform(-1.0, 1.0))
         offsets = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 3))
-        curve = _families.make_spacelike_horizontal(
+        curves.append(_families.make_spacelike_horizontal(
             branch=branch, phase=phase, offsets=offsets
-        )
-        direct, fren = _biharmonic.residual_norms(curve, grid)
+        ))
+    results = _evaluated([(curve, s) for curve in curves for s in grid])
+    worst = 0.0
+    const_dev = 0.0
+    horiz_max = 0.0
+    for curve in curves:
+        direct, fren, summ = _grid_evidence(results, grid)
         worst = max(worst, max(direct), max(fren))
-        summ = _frenet.frenet_over_grid(curve, grid)
         const_dev = max(
             const_dev,
             abs(summ.k1_mean - 2.0), summ.k1_max_dev,
@@ -711,16 +751,19 @@ def _check_horizontal_family(cfg, rng):
 def _check_horizontal_slope_printed(cfg, rng):
     tol = _tol(cfg, 1e-9)
     grid = [-2.0 + 0.05 * i for i in range(81)]
+    curves = [_families.make_spacelike_horizontal(branch=branch,
+                                                  as_printed=True)
+              for branch in (1, -1)]
+    results = _evaluated([(curve, s) for curve in curves
+                          for s in [0.0] + grid])
     dev3 = 0.0
     res_s0 = 0.0
     sweep_max = 0.0
-    for branch in (1, -1):
-        curve = _families.make_spacelike_horizontal(branch=branch,
-                                                    as_printed=True)
-        res = _biharmonic.residual_norms(curve, [0.0])[0][0]
+    for _ in curves:
+        res = _biharmonic.route_norms([next(results)])[0][0]
         dev3 = max(dev3, abs(res - 3.0))
         res_s0 = max(res_s0, res)
-        sweep = _biharmonic.residual_norms(curve, grid)[0]
+        sweep = _biharmonic.route_norms(islice(results, len(grid)))[0]
         sweep_max = max(sweep_max, max(sweep))
     refuted = res_s0 > 100.0 * tol
     status = STATUS_REFUTED_AS_PRINTED if refuted else STATUS_CONFIRMED
@@ -742,16 +785,19 @@ def _check_timelike_horizontal_nonexistence(cfg, rng):
     formula_dev = 0.0
     defect_dev = 0.0
     min_res = math.inf
+    curves = [_families.make_timelike_horizontal_helix(m) for m in m_grid]
+    results = _evaluated([(curve, s) for curve in curves for s in s_pts])
     for m in m_grid:
-        curve = _families.make_timelike_horizontal_helix(m)
-        direct, _ = _biharmonic.residual_norms(curve, s_pts)
+        points = list(islice(results, len(s_pts)))
+        direct, _ = _biharmonic.route_norms(points)
         for s, res in zip(s_pts, direct):
             want = abs(m ** 3 + 4.0 * m) * math.sqrt(
                 math.cosh(m * s) ** 2 + math.sinh(m * s) ** 2
             )
             formula_dev = max(formula_dev, abs(res - want))
             min_res = min(min_res, res)
-        d = _frenet.compute_frenet(curve, 0.0)
+        # the frame at s_pts[1] = 0.0
+        d = _frenet.frenet_from_flat(points[1][0])
         defect = _biharmonic.identity_defect(d.k1, d.k2, d.eps1, d.eps3,
                                              d.b[2])
         defect_dev = max(defect_dev, abs(defect - (m * m + 4.0)))

@@ -260,6 +260,32 @@ class TestB3ZeroCurves:
         for s in (0.0, 0.15, 0.5, 0.9, 1.0):
             assert plain.tangent(s) == jets.tangent(s)
 
+    @pytest.mark.parametrize("kind", ["spacelike", "timelike"])
+    def test_jets_integrate_beta_once_per_point(self, kind, monkeypatch):
+        profile = sine_profile(0.5, 0.8, 3.0)
+        generator = math.sinh if kind == "spacelike" else math.cosh
+        integrand = lambda t: 2.0 * generator(profile(t)[0])
+        # β integrated afresh on every call, as without the memo
+        fresh = make_b3zero_curve(
+            kind, profile, (0.0, 1.0),
+            beta=lambda s: families._integrate(integrand, 0.0, s))
+        memo = make_b3zero_curve(kind, profile, (0.0, 1.0))
+        calls = []
+        integrate = families._integrate
+
+        def counted(f, a, b):
+            calls.append(b)
+            return integrate(f, a, b)
+
+        monkeypatch.setattr(families, "_integrate", counted)
+        for s in (0.0, -0.0, 0.15, 0.5, 0.9):
+            calls.clear()
+            assert memo.tangent_jets(s) == fresh.tangent_jets(s)
+            assert len(calls) == 1 + 4  # memo once, fresh at every jet
+        calls.clear()
+        memo.tangent_jets(0.9)
+        assert calls == []
+
     @pytest.mark.parametrize("alpha", [
         lambda s: 0.4 + 0.3 * s if s < 0.5 else math.nan,
         sine_profile(0.5, 0.8, 1e4),

@@ -21,7 +21,9 @@ from hhcurves import (
     NullNormalDegenerateError,
     UnitSpeedError,
 )
-from hhcurves.curves import HelixSpec
+from hhcurves.curves import FrameCurve, HelixSpec
+
+from evaluation_routes import per_point_route as _per_point_route
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -287,6 +289,24 @@ def test_grid_matches_points_on_every_verify_family():
                 assert point == want, (curve.helix, s)
 
 
+_POINT = st.tuples(
+    st.sampled_from((0, 1)),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-1e-16, max_value=1e-16),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-40.0, max_value=40.0),
+)
+
+
+def _per_point_call(impl, points, geo_tols):
+    """``helix_eval_grid`` with one ``(form, amp, tilt, slope_hi, slope_lo,
+    phase, s)`` tuple per point, and one geo_tol each."""
+    columns = [list(c) for c in zip(*points)]
+    return impl.helix_eval_grid(*columns[:6], columns[6], geo_tols)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     form=st.sampled_from((0, 1)),
@@ -297,18 +317,58 @@ def test_grid_matches_points_on_every_verify_family():
     phase=st.floats(min_value=-2.0, max_value=2.0),
     grid=st.lists(st.floats(min_value=-40.0, max_value=40.0),
                   min_size=1, max_size=12),
+    points=st.lists(_POINT, min_size=2, max_size=12).filter(
+        lambda pts: {p[0] for p in pts} == {0, 1}),
 )
 def test_grid_matches_points_on_drawn_helices(form, amp, tilt, slope_hi,
-                                              slope_lo, phase, grid):
+                                              slope_lo, phase, grid, points):
     args = (form, amp, tilt, slope_hi, slope_lo, phase)
-    got = pure.helix_eval_grid(*args, grid, 1e-9)
-    assert len(got) == len(grid)
-    for s, point in zip(grid, got):
-        want = _scalar_or_exception(pure, args, s, 1e-9)
+    _assert_handed_back_or_equal([args + (s,) for s in grid],
+                                 pure.helix_eval_grid(*args, grid, 1e-9))
+    # one helix per point, of both forms, in one call
+    _assert_handed_back_or_equal(
+        points, _per_point_call(pure, points, [1e-9] * len(points)))
+
+
+def _assert_handed_back_or_equal(points, got):
+    assert len(got) == len(points)
+    for pt, point in zip(points, got):
+        want = _scalar_or_exception(pure, pt[:6], pt[6], 1e-9)
         if point is None:
             continue  # handed back: callers evaluate it with helix_eval
-        assert not isinstance(want, Exception), (s, want)
-        assert point == want, s
+        assert not isinstance(want, Exception), (pt, want)
+        assert point == want, pt
+
+
+def _finite(result):
+    return all(math.isfinite(v) for part in result for v in part)
+
+
+def test_per_point_grid_matches_or_hands_back_each_point():
+    tilt = 0.6
+    points = [
+        (0, 1.3, 0.4, 1.0, 0.0, 0.1, 0.3),
+        # slope = 2·tilt: ∇_T T vanishes, a geodesic point
+        (0, math.cosh(tilt), math.sinh(tilt), 2.0 * math.sinh(tilt), 0.0,
+         0.0, 0.2),
+        (1, 0.8, -0.2, 2.1, 1e-17, -0.3, -0.5),
+        (1, 1.0, 0.0, 2.0, 0.0, 0.0, 360.0),  # |u| = 720 >= 709
+        (0, -2.0, 1.1, -3.5, 0.0, 0.7, 1.9),
+        (0, 1.0, 0.5, 1.0, 0.0, 0.0, math.nan),
+        (1, 1.5, 0.0, 0.9, 0.0, 0.0, -6.0),
+    ]
+    geo_tols = [1e-9, 1e-9, 1e-3, 1e-9, 1e-6, 1e-9, 1e-9]
+    # the NumPy kernel, and the compiled loop when that backend is active
+    for impl in {pure, kernels} if kernels.BACKEND != "pure" else {pure}:
+        got = _per_point_call(impl, points, geo_tols)
+        assert [p is None for p in got] == [False, True, False, True, False,
+                                            True, False]
+        for pt, tol, point in zip(points, geo_tols, got):
+            want = _scalar_or_exception(impl, pt[:6], pt[6], tol)
+            if point is None:
+                assert isinstance(want, Exception) or not _finite(want), pt
+            else:
+                assert point == want, pt
 
 
 def _series_terms(x):
@@ -348,18 +408,6 @@ def test_grid_hands_back_points_outside_the_exp_range():
     for s in (-400.0, 400.0, math.nan):
         assert isinstance(_scalar_or_exception(pure, args, s, 1e-9),
                           Exception)
-
-
-@contextlib.contextmanager
-def _per_point_route():
-    """Make every caller evaluate each point with point_data, as before the
-    grid kernel existed."""
-    saved = frenet._GRID_MIN_POINTS
-    frenet._GRID_MIN_POINTS = math.inf
-    try:
-        yield
-    finally:
-        frenet._GRID_MIN_POINTS = saved
 
 
 def _outcome(fn, *args, **kwargs):
@@ -555,3 +603,71 @@ def test_evaluate_grid_yields_the_degeneracy_of_each_point():
             assert outcomes(frames) == want
         assert got[0][0] is NullNormalDegenerateError
         assert got[5][0] is GeodesicDegenerateError
+
+
+def _mixed_pairs():
+    """Points of a form-0 and a form-1 helix, a b3zero curve, an FD frame
+    curve and the null-normal helix, interleaved, with that helix's geo_tol.
+
+    At that tolerance every null-normal helix point and every b3zero point
+    degenerates, and the other curves (k1 above 7) do not.
+    """
+    null, tol = _null_normal_helix_and_tol()
+    form0 = families.make_helix("spacelike", 0.4, -6.0, 0.3)
+    form1 = families.make_helix("timelike-flat", 0.3, 8.0)
+    b3zero = families.make_b3zero_linear("spacelike", 0.4, 0.6, (0.0, 1.0))
+    fd = FrameCurve(form0.helix.tangent)
+    pairs = []
+    for i, s in enumerate(_NULL_GRID):
+        pairs.append((null, s))
+        other = (form0, form1, b3zero, fd)[i % 4]
+        pairs.append((other, 0.1 * (i - 5)))
+    return pairs, tol, (form0, form1)
+
+
+def test_evaluate_points_matches_each_point_in_input_order():
+    pairs, tol, _ = _mixed_pairs()
+    for frames, point in ((False, frenet.point_data),
+                          (True, frenet.compute_frenet)):
+        want = []
+        for curve, s in pairs:
+            try:
+                want.append(point(curve, s, geo_tol=tol))
+            except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
+                want.append((type(exc), str(exc)))
+        got = [(type(res), str(res)) if isinstance(res, Exception) else res
+               for res in frenet.evaluate_points(pairs, geo_tol=tol,
+                                                 frames=frames)]
+        assert got == want
+        kinds = {w[0] if isinstance(w, tuple) and isinstance(w[0], type)
+                 else "ok" for w in want}
+        assert kinds == {GeodesicDegenerateError, NullNormalDegenerateError,
+                         "ok"}
+
+
+def test_evaluate_points_takes_one_grid_pass_over_all_helices(monkeypatch):
+    calls, _ = _routes(monkeypatch)
+    pairs, tol, passed = _mixed_pairs()
+    list(frenet.evaluate_points(pairs, geo_tol=tol))
+    assert calls["grid"] == [[s for curve, s in pairs
+                              if getattr(curve, "helix", None)]]
+    # the pass hands back every degenerate point; the others need no redo
+    assert calls["point"] == [s for curve, s in pairs if curve not in passed]
+    # 13 helix points of two curves stay with point_data; 14 take one pass
+    a, b = families.make_spacelike_biharmonic(0.5), passed[1]
+    n = frenet._GRID_MIN_POINTS
+    for count, passes in ((n - 1, 0), (n, 1)):
+        calls["grid"].clear()
+        points = [(a if i % 2 else b, 0.1 * i) for i in range(count)]
+        got = list(frenet.evaluate_points(points))
+        assert got == [frenet.point_data(c, s) for c, s in points]
+        assert len(calls["grid"]) == passes
+
+
+def test_evaluate_points_raises_outside_the_exp_range():
+    helix = families.make_spacelike_biharmonic(0.5)
+    other = families.make_helix("timelike-flat", 0.3, 8.0)
+    pairs = [(helix if i % 2 else other, 0.1 * i) for i in range(14)]
+    pairs.insert(3, (helix, 400.0))
+    with pytest.raises(OverflowError, match="dd_exp argument too large"):
+        list(frenet.evaluate_points(pairs))

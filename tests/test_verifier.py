@@ -20,6 +20,8 @@ from hhcurves import (
     verify_claim,
 )
 
+from evaluation_routes import per_point_route
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -81,6 +83,14 @@ class TestDeterminism:
 
     def test_different_seed_still_passes(self):
         assert run_all(VerifyConfig(seed=123)).passed()
+
+    @pytest.mark.parametrize("seed", [7, 123])
+    def test_grid_pass_gives_the_per_point_report(self, seed):
+        # the checks evaluate their helix points in one pass; evaluated one
+        # by one, every number and so every byte must be the same
+        batched = run_all(VerifyConfig(seed=seed)).to_json()
+        with per_point_route():
+            assert run_all(VerifyConfig(seed=seed)).to_json() == batched
 
 
 class TestReportSchema:
@@ -163,7 +173,7 @@ class TestFailClosed:
         def crash(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(hhcurves.biharmonic, "residual_norms", crash)
+        monkeypatch.setattr(hhcurves.biharmonic, "route_norms", crash)
         check = verify_claim("horizontal-slope-printed")
         assert check.status == STATUS_ERROR
         assert "RuntimeError: injected failure" in check.details
