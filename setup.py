@@ -1,36 +1,6 @@
-"""Build script: compiles the optional speed kernels.
+"""Build script. Everything is declared in ``pyproject.toml``; this file
+remains for ``setup.py develop`` installs."""
 
-The package works without the extension (a pure-Python reference backend is
-selected at import time); the extension is attempted here and skipped with a
-warning if Cython or a C toolchain is unavailable.
-"""
+from setuptools import setup
 
-import sys
-
-from setuptools import Extension, setup
-
-
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("setup.py: Cython not available; building without speed kernels",
-              file=sys.stderr)
-        return []
-    ext = Extension(
-        "hhcurves._kernels._speed",
-        sources=["src/hhcurves/_kernels/_speed.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize(
-        [ext],
-        language_level=3,
-        compiler_directives={
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-
-setup(ext_modules=_extensions())
+setup()

@@ -23,11 +23,8 @@ frame. The package provides:
   deterministic verification report;
 - :mod:`hhcurves.cli` — the ``hhcurves`` command-line entry point.
 
-Numerical kernels run on a compiled Cython backend when the extension is
-available and on a pure-Python reference implementation otherwise; the active
-choice is exposed as :data:`BACKEND` (``"compiled"`` or ``"pure"``) and can
-be forced to the reference implementation by setting ``HHCURVES_PURE=1``
-before import.
+The numerical kernels are written in Python (with NumPy for whole helix
+grids); :data:`BACKEND` names them, and is always ``"pure"``.
 """
 
 from ._kernels import BACKEND

@@ -1,8 +1,7 @@
-"""Pure-Python reference kernels.
+"""The numerical kernels, in Python.
 
-This module is the readable implementation of the numerical hot paths;
-``hhcurves._kernels._speed`` is a compiled mirror of its single-point
-kernels. Everything here works on plain tuples of floats, except
+This module is the one implementation of the numerical hot paths.
+Everything here works on plain tuples of floats, except
 ``helix_eval_grid``, which runs the double-double helix code over float64
 arrays (NumPy is imported there, not at module import).
 
@@ -45,8 +44,6 @@ from hhcurves.errors import (
     NullNormalDegenerateError,
     UnitSpeedError,
 )
-
-BACKEND = "pure"
 
 # --------------------------------------------------------------------------
 # Error-free transforms (Dekker / Knuth)

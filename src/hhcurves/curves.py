@@ -345,7 +345,8 @@ class FrameCurve:
 
     ``tangent(s) → (T1, T2, T3)``; ``derivative(s, order) → (T1, T2, T3)``
     parameter derivatives for orders 1..3 when closed forms exist, otherwise
-    finite differences on the tangent are used.
+    finite differences on the tangent are used. ``analytic`` is True exactly
+    when ``derivative`` is given.
     """
 
     def __init__(self, tangent, derivative=None, fd=None, helix=None):
@@ -356,12 +357,10 @@ class FrameCurve:
 
     @property
     def analytic(self):
-        return self._derivative is not None or self.helix is not None
+        return self._derivative is not None
 
     def tangent(self, s):
-        if self._tangent is not None:
-            return tuple(float(c) for c in self._tangent(s))
-        return self.helix.tangent(s)
+        return tuple(float(c) for c in self._tangent(s))
 
     def derivative(self, s, order):
         if order not in (1, 2, 3):

@@ -142,10 +142,8 @@ def solve_slope(kind, shape):
 
 def _printed_slope(kind, shape, branch):
     """Historically published slope constants (known-bad discriminants)."""
-    if kind in (FamilyKind.SPACELIKE_BIHARMONIC, FamilyKind.SPACELIKE_HORIZONTAL):
+    if kind == FamilyKind.SPACELIKE_BIHARMONIC:
         k = math.sinh(shape)
-        if kind == FamilyKind.SPACELIKE_HORIZONTAL:
-            return branch * 1.0
         return k + branch * math.sqrt(5.0 * k * k + 1.0)
     c = math.cosh(shape)
     return c + branch * math.sqrt(5.0 * c * c - 1.0)
@@ -280,13 +278,7 @@ def make_spacelike_horizontal(branch=1, phase=0.0, offsets=(0.0, 0.0, 0.0),
     With zero phase and offsets the curve is
     ``(sinh(2s)/2, cosh(2s)/2, −s)``.
     """
-    branch = _coerce_branch(branch)
-    if as_printed:
-        slope = (branch * 1.0, 0.0)
-    else:
-        plus, minus = _slope_roots_dd(1.0, 0.0)
-        slope = plus if branch == 1 else minus
-    return _helix_coordinate_curve(0, 1.0, 0.0, slope, float(phase), offsets)
+    return make_spacelike_biharmonic(0.0, branch, phase, offsets, as_printed)
 
 
 def make_timelike_horizontal_helix(m, offsets=(0.0, 0.0, 0.0)):
@@ -449,6 +441,17 @@ def _integrate(f, a, b):
     return math.fsum(parts)
 
 
+def _b3zero_spacelike(kind):
+    """Whether a b3zero kind is spacelike (else timelike); raises
+    :class:`InvalidInputError` for any other kind."""
+    kd = str(getattr(kind, "value", kind))
+    if kd in ("b3zero-spacelike", "spacelike"):
+        return True
+    if kd in ("b3zero-timelike", "timelike"):
+        return False
+    raise InvalidInputError("unknown b3zero kind %r" % (kind,))
+
+
 def make_b3zero_curve(kind, alpha, s_range, beta=None):
     """Unit-speed curve with identically vanishing binormal third component.
 
@@ -478,13 +481,7 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
     at rate |β'| = 2·cosh α ≥ 2; evaluate within a few units of the anchor
     (|β| ≲ 8) for 1e-9-grade results.
     """
-    kd = str(getattr(kind, "value", kind))
-    if kd in ("b3zero-spacelike", "spacelike"):
-        spacelike = True
-    elif kd in ("b3zero-timelike", "timelike"):
-        spacelike = False
-    else:
-        raise InvalidInputError("unknown b3zero kind %r" % (kind,))
+    spacelike = _b3zero_spacelike(kind)
     try:
         s0, s1 = float(s_range[0]), float(s_range[1])
     except (TypeError, IndexError, ValueError) as exc:
@@ -569,14 +566,10 @@ def make_b3zero_linear(kind, p, q, s_range):
         s0 = float(s_range[0])
     except (TypeError, IndexError, ValueError) as exc:
         raise InvalidInputError("s_range must be a pair of reals") from exc
-    kd = str(getattr(kind, "value", kind))
-    if kd in ("b3zero-spacelike", "spacelike"):
-        beta = lambda s: (2.0 / q) * (math.cosh(p + q * s) - math.cosh(p + q * s0))
-    elif kd in ("b3zero-timelike", "timelike"):
-        beta = lambda s: (2.0 / q) * (math.sinh(p + q * s) - math.sinh(p + q * s0))
-    else:
-        raise InvalidInputError("unknown b3zero kind %r" % (kind,))
-    return make_b3zero_curve(kd, linear_profile(p, q), s_range, beta=beta)
+    antiderivative = math.cosh if _b3zero_spacelike(kind) else math.sinh
+    beta = lambda s: (2.0 / q) * (antiderivative(p + q * s)
+                                  - antiderivative(p + q * s0))
+    return make_b3zero_curve(kind, linear_profile(p, q), s_range, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -489,7 +489,7 @@ def test_criterion_11_sign_triple_invariant():
 
 
 @pytest.mark.criterion(
-    12, "verification run under 60 s and byte-identical per seed on one backend"
+    12, "verification run under 60 s and byte-identical per seed"
 )
 def test_criterion_12_verification_run(verification_report):
     """Two full verification runs finish in budget and agree byte-for-byte."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hhcurves import (
     DegenerateGeodesicError,
     FamilyKind,
+    HelixSpec,
     InvalidInputError,
     check_unit_speed,
     compute_frenet,
@@ -154,6 +155,18 @@ class TestHorizontalFamily:
                 -s,
             )
             assert curve.point(s) == pytest.approx(want, abs=1e-12)
+        # bit for bit the α₀ = 0 member of the spacelike family
+        for branch in (1, -1):
+            for printed, slope in ((False, 2.0), (True, 1.0)):
+                curve = make_spacelike_horizontal(branch=branch,
+                                                  as_printed=printed)
+                member = make_spacelike_biharmonic(0.0, branch=branch,
+                                                   as_printed=printed)
+                assert curve.helix == member.helix == HelixSpec(
+                    0, 1.0, 0.0, branch * slope)
+                for s in GRID:
+                    assert curve.point(s) == member.point(s)
+                    assert curve.tangent_jets(s) == member.tangent_jets(s)
 
     def test_published_slope_is_unit(self):
         assert make_spacelike_horizontal(as_printed=True).helix.slope_hi == 1.0

@@ -1,18 +1,16 @@
-"""Kernel backends: pure/compiled parity, double-double arithmetic, and the
-one-pass helix grid kernel."""
+"""The kernels: their one backend, unit-jet projection, double-double
+arithmetic, and the one-pass helix grid kernel."""
 
 import contextlib
 import io
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hhcurves
 import hhcurves._kernels as kernels
 from hhcurves import biharmonic, cli, families, frenet
 from hhcurves._kernels import pure
@@ -28,14 +26,6 @@ from evaluation_routes import per_point_route as _per_point_route
 mpmath = pytest.importorskip("mpmath")
 
 
-@pytest.fixture
-def speed():
-    return pytest.importorskip(
-        "hhcurves._kernels._speed",
-        reason="compiled kernel extension not built",
-    )
-
-
 def _helix_jets(amp, tilt, a, s):
     """Closed-form tangent jets of T = (amp·cosh(a·s), amp·sinh(a·s), tilt)."""
     u = a * s
@@ -48,66 +38,10 @@ def _helix_jets(amp, tilt, a, s):
     )
 
 
-def _flatten(result):
-    fr, tau_d, tau_f = result
-    return tuple(fr) + tuple(tau_d) + tuple(tau_f)
-
-
-class TestBackendParity:
-    """The compiled extension must agree with the pure reference."""
-
-    def test_active_backend_is_reported(self, speed):
-        assert kernels.BACKEND in ("pure", "compiled")
-        assert pure.BACKEND == "pure"
-        assert speed.BACKEND == "compiled"
-
-    def test_vector_algebra_parity(self, speed):
-        vectors = [
-            (0.3, -1.2, 0.7),
-            (2.0, 0.25, -0.5),
-            (-0.9, 1.1, 3.0),
-        ]
-        for x in vectors:
-            for y in vectors:
-                assert pure.inner(x, y) == speed.inner(x, y)
-                assert pure.cross(x, y) == pytest.approx(
-                    speed.cross(x, y), abs=0.0
-                )
-                assert pure.gamma(x, y) == pytest.approx(
-                    speed.gamma(x, y), abs=0.0
-                )
-                for z in vectors:
-                    assert pure.curvature_op(x, y, z) == pytest.approx(
-                        speed.curvature_op(x, y, z), abs=0.0
-                    )
-
-    def test_point_eval_parity(self, speed):
-        amp, tilt = math.cosh(0.5), math.sinh(0.5)
-        a = tilt + math.sqrt(tilt * tilt + 4.0 * amp * amp)
-        for s in (-0.8, 0.0, 0.45):
-            jets = _helix_jets(amp, tilt, a, s)
-            got_p = _flatten(pure.point_eval(jets, 1e-9))
-            got_c = _flatten(speed.point_eval(jets, 1e-9))
-            for vp, vc in zip(got_p, got_c):
-                assert vp == pytest.approx(vc, rel=1e-14, abs=1e-14)
-
-    def test_helix_eval_parity(self, speed):
-        amp, tilt = math.sinh(0.8), math.cosh(0.8)
-        a = tilt - math.sqrt(tilt * tilt + 4.0 * amp * amp)
-        for s in (-1.2, 0.3):
-            got_p = _flatten(pure.helix_eval(0, amp, tilt, a, 0.0, 0.1, s, 1e-9))
-            got_c = _flatten(speed.helix_eval(0, amp, tilt, a, 0.0, 0.1, s, 1e-9))
-            for vp, vc in zip(got_p, got_c):
-                assert vp == pytest.approx(vc, rel=1e-14, abs=1e-14)
-
-    def test_projection_parity(self, speed):
-        scaled = tuple(
-            tuple(1.001 * c for c in row) for row in _helix_jets(1.0, 0.0, 2.0, 0.1)
-        )
-        got_p = pure.project_unit_jets(scaled, 1e-2)
-        got_c = speed.project_unit_jets(scaled, 1e-2)
-        for rp, rc in zip(got_p, got_c):
-            assert rp == pytest.approx(rc, rel=1e-15, abs=1e-15)
+def test_kernels_are_the_pure_module():
+    assert hhcurves.BACKEND == "pure"
+    for name in kernels.__all__:
+        assert getattr(kernels, name) is getattr(pure, name), name
 
 
 class TestProjection:
@@ -195,37 +129,6 @@ class TestDoubleDouble:
         assert float(c) == pytest.approx(1e-20, rel=1e-15)
 
 
-class TestBackendSwitch:
-    def test_pure_env_flag_forces_pure_backend(self):
-        env = dict(os.environ)
-        env["HHCURVES_PURE"] = "1"
-        code = (
-            "import hhcurves; print(hhcurves.BACKEND)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "pure"
-
-    def test_default_backend_is_compiled_when_built(self, speed):
-        """With the extension built, BACKEND is "compiled" unless overridden.
-
-        The ``speed`` fixture guarantees the extension exists here;
-        the only way this process can legitimately run "pure" is the
-        environment override, as when the whole suite is exercised under
-        HHCURVES_PURE=1.
-        """
-        if os.environ.get("HHCURVES_PURE") == "1":
-            assert kernels.BACKEND == "pure"
-        else:
-            assert kernels.BACKEND == "compiled"
-
-
 # --------------------------------------------------------------------------
 # The one-pass helix grid kernel
 # --------------------------------------------------------------------------
@@ -268,25 +171,22 @@ def _helix_args(spec):
             spec.phase)
 
 
-def _scalar_or_exception(impl, args, s, geo_tol):
+def _scalar_or_exception(args, s, geo_tol):
     try:
-        return impl.helix_eval(*args, s, geo_tol)
+        return pure.helix_eval(*args, s, geo_tol)
     except Exception as exc:
         return exc
 
 
 def test_grid_matches_points_on_every_verify_family():
-    # the NumPy kernel, and the compiled loop when that backend is active
-    impls = {pure, kernels} if kernels.BACKEND != "pure" else {pure}
     for curve, grid in _verify_families():
         args = _helix_args(curve.helix)
-        for impl in impls:
-            got = impl.helix_eval_grid(*args, grid, 1e-9)
-            assert len(got) == len(grid)
-            for s, point in zip(grid, got):
-                # bit for bit, and no point of these grids is handed back
-                want = impl.helix_eval(*args, s, 1e-9)
-                assert point == want, (curve.helix, s)
+        got = pure.helix_eval_grid(*args, grid, 1e-9)
+        assert len(got) == len(grid)
+        for s, point in zip(grid, got):
+            # bit for bit, and no point of these grids is handed back
+            want = pure.helix_eval(*args, s, 1e-9)
+            assert point == want, (curve.helix, s)
 
 
 _POINT = st.tuples(
@@ -300,11 +200,11 @@ _POINT = st.tuples(
 )
 
 
-def _per_point_call(impl, points, geo_tols):
+def _per_point_call(points, geo_tols):
     """``helix_eval_grid`` with one ``(form, amp, tilt, slope_hi, slope_lo,
     phase, s)`` tuple per point, and one geo_tol each."""
     columns = [list(c) for c in zip(*points)]
-    return impl.helix_eval_grid(*columns[:6], columns[6], geo_tols)
+    return pure.helix_eval_grid(*columns[:6], columns[6], geo_tols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,13 +227,13 @@ def test_grid_matches_points_on_drawn_helices(form, amp, tilt, slope_hi,
                                  pure.helix_eval_grid(*args, grid, 1e-9))
     # one helix per point, of both forms, in one call
     _assert_handed_back_or_equal(
-        points, _per_point_call(pure, points, [1e-9] * len(points)))
+        points, _per_point_call(points, [1e-9] * len(points)))
 
 
 def _assert_handed_back_or_equal(points, got):
     assert len(got) == len(points)
     for pt, point in zip(points, got):
-        want = _scalar_or_exception(pure, pt[:6], pt[6], 1e-9)
+        want = _scalar_or_exception(pt[:6], pt[6], 1e-9)
         if point is None:
             continue  # handed back: callers evaluate it with helix_eval
         assert not isinstance(want, Exception), (pt, want)
@@ -358,17 +258,15 @@ def test_per_point_grid_matches_or_hands_back_each_point():
         (1, 1.5, 0.0, 0.9, 0.0, 0.0, -6.0),
     ]
     geo_tols = [1e-9, 1e-9, 1e-3, 1e-9, 1e-6, 1e-9, 1e-9]
-    # the NumPy kernel, and the compiled loop when that backend is active
-    for impl in {pure, kernels} if kernels.BACKEND != "pure" else {pure}:
-        got = _per_point_call(impl, points, geo_tols)
-        assert [p is None for p in got] == [False, True, False, True, False,
-                                            True, False]
-        for pt, tol, point in zip(points, geo_tols, got):
-            want = _scalar_or_exception(impl, pt[:6], pt[6], tol)
-            if point is None:
-                assert isinstance(want, Exception) or not _finite(want), pt
-            else:
-                assert point == want, pt
+    got = _per_point_call(points, geo_tols)
+    assert [p is None for p in got] == [False, True, False, True, False,
+                                        True, False]
+    for pt, tol, point in zip(points, geo_tols, got):
+        want = _scalar_or_exception(pt[:6], pt[6], tol)
+        if point is None:
+            assert isinstance(want, Exception) or not _finite(want), pt
+        else:
+            assert point == want, pt
 
 
 def _series_terms(x):
@@ -406,7 +304,7 @@ def test_grid_hands_back_points_outside_the_exp_range():
     assert [p is None for p in got] == [True, True, False, False, False,
                                         True, True, True]
     for s in (-400.0, 400.0, math.nan):
-        assert isinstance(_scalar_or_exception(pure, args, s, 1e-9),
+        assert isinstance(_scalar_or_exception(args, s, 1e-9),
                           Exception)
 
 
