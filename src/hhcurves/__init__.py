@@ -44,8 +44,6 @@ from .frame import (
     E3,
     CausalCharacter,
     FrameVector,
-    SIGNATURE,
-    Signature,
     causal_character,
     cross,
     inner,
@@ -143,8 +141,6 @@ __all__ = [
     "MixedCausalityError",
     # frame
     "CausalCharacter",
-    "Signature",
-    "SIGNATURE",
     "FrameVector",
     "E1",
     "E2",

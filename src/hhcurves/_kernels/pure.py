@@ -118,12 +118,6 @@ def _gamma_terms(x, y):
     return g1, g2, g3
 
 
-def gamma(x, y):
-    """Connection bilinear Γ(x, y) in frame components."""
-    g1, g2, g3 = _gamma_terms(x, y)
-    return (math.fsum(g1), math.fsum(g2), math.fsum(g3))
-
-
 def covd(t, v, vp):
     """Covariant derivative along a curve: vp + Γ(t, v)."""
     g1, g2, g3 = _gamma_terms(t, v)

@@ -72,15 +72,15 @@ def _enorm(v):
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def bitension_direct(curve, s, geo_tol=None, unit_tol=None):
+def bitension_direct(curve, s, geo_tol=None):
     """Bitension field at ``s`` via the covariant jet chain."""
-    tau = _frenet.point_data(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)[1]
+    tau = _frenet.point_data(curve, s, geo_tol=geo_tol)[1]
     return FrameVector(*tau)
 
 
-def bitension_frenet_at(curve, s, geo_tol=None, unit_tol=None):
+def bitension_frenet_at(curve, s, geo_tol=None):
     """Bitension field at ``s`` via the Frenet-form coefficients."""
-    tau = _frenet.point_data(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)[2]
+    tau = _frenet.point_data(curve, s, geo_tol=geo_tol)[2]
     return FrameVector(*tau)
 
 
@@ -112,40 +112,38 @@ def route_norms(results):
     return tuple(direct), tuple(fren)
 
 
-def residual_norms(curve, grid, geo_tol=None, unit_tol=None):
+def residual_norms(curve, grid, geo_tol=None):
     """Euclidean norms of τ₂ along the grid for both routes."""
-    return route_norms(_frenet.evaluate_grid(curve, tuple(grid), geo_tol,
-                                             unit_tol))
+    return route_norms(_frenet.evaluate_grid(curve, tuple(grid), geo_tol))
 
 
-def check_biharmonic_conditions(curve, grid, tol=None, geo_tol=None,
-                                unit_tol=None):
+def check_biharmonic_conditions(curve, grid, *, geo_tol=None):
     """Evaluate the biharmonicity conditions on a grid.
 
     Verdicts: ``"Geodesic"`` when the curvature degenerates anywhere on the
     grid; otherwise ``"Biharmonic"`` when k1 and k2 are constant (within
     ``tol·(1 + |mean|)``), ``|N3·B3| <= tol``, and the closure identity holds
-    within ``tol``; else ``"NotBiharmonic"``.
+    within ``tol``; else ``"NotBiharmonic"``. ``tol`` is
+    :data:`DEFAULT_VERDICT_TOL_ANALYTIC` on a curve with closed-form
+    derivatives and :data:`DEFAULT_VERDICT_TOL_SAMPLED` on one with finite
+    differences; the report records it.
     """
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
-    if tol is None:
-        analytic = bool(getattr(curve, "analytic", True))
-        tol = (DEFAULT_VERDICT_TOL_ANALYTIC if analytic
-               else DEFAULT_VERDICT_TOL_SAMPLED)
+    tol = (DEFAULT_VERDICT_TOL_ANALYTIC if curve.analytic
+           else DEFAULT_VERDICT_TOL_SAMPLED)
 
     rows = []
     res_d = []
     res_f = []
     degenerate = 0
-    for s, res in zip(grid, _frenet.evaluate_grid(curve, grid, geo_tol,
-                                                  unit_tol)):
+    for s, res in zip(grid, _frenet.evaluate_grid(curve, grid, geo_tol)):
         if isinstance(res, Exception):
             degenerate += 1
             # the direct route needs no frame, so it still reports
             try:
-                res_d.append(_enorm(_frenet.direct_tau(curve, s, unit_tol)))
+                res_d.append(_enorm(_frenet.direct_tau(curve, s)))
             except Exception:
                 res_d.append(float("nan"))
             res_f.append(float("nan"))

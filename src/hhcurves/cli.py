@@ -373,14 +373,10 @@ def _add_family_options(parser):
     )
 
 
-def _add_output_options(parser, fmt):
+def _add_output_options(parser):
     parser.add_argument(
         "-o", "--output", default="-",
         help="output path; '-' writes to stdout (default)",
-    )
-    parser.add_argument(
-        "--format", choices=(fmt,), default=fmt,
-        help="output format (this command always writes %s)" % fmt,
     )
 
 
@@ -409,7 +405,7 @@ def build_parser():
     )
     _add_family_options(p_gen)
     _add_range_option(p_gen)
-    _add_output_options(p_gen, "csv")
+    _add_output_options(p_gen)
     p_gen.set_defaults(func=cmd_generate, input=None)
 
     for name, help_text in (
@@ -425,7 +421,7 @@ def build_parser():
             "columns ignored) instead of --family; rows cover the interior "
             "stencil nodes",
         )
-        _add_output_options(p_fr, "csv")
+        _add_output_options(p_fr)
         p_fr.set_defaults(func=cmd_frenet)
 
     p_ver = sub.add_parser(
@@ -444,7 +440,7 @@ def build_parser():
         "--tol", type=float, default=None,
         help="override the default residual tolerance",
     )
-    _add_output_options(p_ver, "json")
+    _add_output_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

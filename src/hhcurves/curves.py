@@ -44,6 +44,7 @@ __all__ = [
     "is_horizontal",
     "causal_character_of_curve",
     "check_unit_speed",
+    "unit_speed_tol",
     "vertical_momentum",
 ]
 
@@ -97,11 +98,17 @@ class HelixSpec:
         return self.slope_hi
 
     def tangent(self, s):
+        return self.derivative(s, 0)
+
+    def derivative(self, s, order):
+        """The ``order``-th parameter derivative of T; order 0 is T."""
         u = self.slope_hi * s + self.phase
+        f = self.amp * self.slope_hi ** order
         c, sh = math.cosh(u), math.sinh(u)
-        if self.form == 0:
-            return (self.amp * c, self.amp * sh, self.tilt)
-        return (self.amp * sh, self.amp * c, self.tilt)
+        t3 = self.tilt if order == 0 else 0.0
+        if (order % 2 == 1) == (self.form == 0):
+            return (f * sh, f * c, t3)
+        return (f * c, f * sh, t3)
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +511,20 @@ def vertical_momentum(curve, s):
     return 2.0 * t[2]
 
 
-def is_horizontal(curve, grid, tol=1e-9):
-    """True when the contact coframe annihilates the velocity on the grid."""
-    return max(abs(vertical_momentum(curve, s)) for s in grid) <= tol
+def is_horizontal(curve, grid):
+    """True when the contact coframe annihilates the velocity on the grid,
+    to within 1e-9."""
+    return max(abs(vertical_momentum(curve, s)) for s in grid) <= 1e-9
 
 
-def causal_character_of_curve(curve, grid, tol=None):
-    """Common causal character of the tangent over the grid.
+def causal_character_of_curve(curve, grid):
+    """Common causal character of the tangent over the grid, classified at
+    :data:`~hhcurves.frame.DEFAULT_CAUSAL_TOL`.
 
     Raises :class:`MixedCausalityError` when the character changes between
     grid points.
     """
-    if tol is None:
-        tol = _frame.DEFAULT_CAUSAL_TOL
-    chars = {
-        _frame.causal_character(curve.tangent(s), tol=tol) for s in grid
-    }
+    chars = {_frame.causal_character(curve.tangent(s)) for s in grid}
     if len(chars) != 1:
         raise MixedCausalityError(
             "curve changes causal character over the grid: %s"
@@ -528,16 +533,21 @@ def causal_character_of_curve(curve, grid, tol=None):
     return chars.pop()
 
 
-def check_unit_speed(curve, grid, tol=None):
-    """Verify ``| |inner(T, T)| − 1 | <= tol`` on the grid.
+def unit_speed_tol(curve):
+    """How far ``|inner(T, T)|`` may be from 1 on ``curve``: 1e-9 when its
+    derivatives are closed forms, 1e-6 when they are finite differences."""
+    return DEFAULT_UNIT_TOL_ANALYTIC if curve.analytic else DEFAULT_UNIT_TOL_FD
 
-    Returns the max deviation; raises :class:`UnitSpeedError` beyond ``tol``.
-    The library never silently renormalizes: Frenet-dependent operations call
-    this (or the jet-level equivalent) and error out on failure.
+
+def check_unit_speed(curve, grid):
+    """Verify ``| |inner(T, T)| − 1 | <= unit_speed_tol(curve)`` on the grid.
+
+    Returns the max deviation; raises :class:`UnitSpeedError` beyond the
+    tolerance. The library never silently renormalizes: Frenet-dependent
+    operations call this (or the jet-level equivalent) and error out on
+    failure.
     """
-    if tol is None:
-        tol = (DEFAULT_UNIT_TOL_ANALYTIC if getattr(curve, "analytic", False)
-               else DEFAULT_UNIT_TOL_FD)
+    tol = unit_speed_tol(curve)
     worst = 0.0
     for s in grid:
         t = curve.tangent(s)

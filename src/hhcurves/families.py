@@ -114,6 +114,15 @@ def _slope_roots_dd(amp, tilt):
     return (plus.hi, plus.lo), (minus.hi, minus.lo)
 
 
+# The tangent (amp·cosh u, amp·sinh u, tilt) of each family with a
+# biharmonicity slope: (amp, tilt) as functions of its shape parameter.
+_AMP_TILT = {
+    FamilyKind.SPACELIKE_BIHARMONIC: (math.cosh, math.sinh),
+    FamilyKind.SPACELIKE_HORIZONTAL: (math.cosh, math.sinh),
+    FamilyKind.TIMELIKE_BIHARMONIC: (math.sinh, math.cosh),
+}
+
+
 def solve_slope(kind, shape):
     """Both slope roots of the biharmonicity quadratic for a family.
 
@@ -125,17 +134,14 @@ def solve_slope(kind, shape):
     :class:`InvalidInputError` for kinds without a biharmonicity slope.
     """
     kind = _coerce_kind(kind)
-    if kind in (FamilyKind.SPACELIKE_BIHARMONIC, FamilyKind.SPACELIKE_HORIZONTAL):
-        amp, tilt = math.cosh(shape), math.sinh(shape)
-    elif kind == FamilyKind.TIMELIKE_BIHARMONIC:
-        amp, tilt = math.sinh(shape), math.cosh(shape)
-    elif kind == FamilyKind.TIMELIKE_HORIZONTAL_HELIX:
+    if kind == FamilyKind.TIMELIKE_HORIZONTAL_HELIX:
         raise InvalidInputError(
             "flat timelike helices admit no biharmonic slope "
             "(the closure identity is infeasible)"
         )
-    else:
+    if kind not in _AMP_TILT:
         raise InvalidInputError("no slope quadratic for family %r" % (kind.value,))
+    amp, tilt = (f(shape) for f in _AMP_TILT[kind])
     plus, minus = _slope_roots_dd(amp, tilt)
     return plus[0], minus[0]
 
@@ -164,17 +170,7 @@ def _dm_sinh(u, a, m):
 
 def _helix_frame_curve(form, amp, tilt, slope_dd, phase):
     spec = HelixSpec(form, amp, tilt, slope_dd[0], slope_dd[1], phase)
-    a = slope_dd[0]
-
-    def derivative(s, order):
-        u = a * s + phase
-        f = amp * a ** order
-        c, sh = math.cosh(u), math.sinh(u)
-        if (order % 2 == 1) == (form == 0):
-            return (f * sh, f * c, 0.0)
-        return (f * c, f * sh, 0.0)
-
-    return FrameCurve(spec.tangent, derivative=derivative, helix=spec)
+    return FrameCurve(spec.tangent, derivative=spec.derivative, helix=spec)
 
 
 def _helix_coordinate_curve(form, amp, tilt, slope_dd, phase, offsets):
@@ -226,6 +222,24 @@ def _helix_coordinate_curve(form, amp, tilt, slope_dd, phase, offsets):
                                           helix=spec)
 
 
+def _biharmonic_member(kind, shape, branch, phase, offsets, as_printed):
+    """The member of a biharmonic family (``kind`` a key of ``_AMP_TILT``)
+    with the given shape, on the chosen slope root or the printed slope."""
+    branch = _coerce_branch(branch)
+    shape = float(shape)
+    amp, tilt = (f(shape) for f in _AMP_TILT[kind])
+    if amp == 0.0:  # only the timelike family, at shape 0
+        raise DegenerateGeodesicError(
+            "the timelike biharmonic family degenerates to a geodesic at shape 0"
+        )
+    if as_printed:
+        slope = (_printed_slope(kind, shape, branch), 0.0)
+    else:
+        plus, minus = _slope_roots_dd(amp, tilt)
+        slope = plus if branch == 1 else minus
+    return _helix_coordinate_curve(0, amp, tilt, slope, float(phase), offsets)
+
+
 def make_spacelike_biharmonic(alpha0, branch=1, phase=0.0,
                               offsets=(0.0, 0.0, 0.0), as_printed=False):
     """Spacelike proper-biharmonic helix with shape parameter α₀.
@@ -235,15 +249,8 @@ def make_spacelike_biharmonic(alpha0, branch=1, phase=0.0,
     Returns an analytic :class:`CoordinateCurve` (the closed coordinate
     integral of the tangent, shifted by ``offsets``).
     """
-    branch = _coerce_branch(branch)
-    alpha0 = float(alpha0)
-    amp, tilt = math.cosh(alpha0), math.sinh(alpha0)
-    if as_printed:
-        slope = (_printed_slope(FamilyKind.SPACELIKE_BIHARMONIC, alpha0, branch), 0.0)
-    else:
-        plus, minus = _slope_roots_dd(amp, tilt)
-        slope = plus if branch == 1 else minus
-    return _helix_coordinate_curve(0, amp, tilt, slope, float(phase), offsets)
+    return _biharmonic_member(FamilyKind.SPACELIKE_BIHARMONIC, alpha0, branch,
+                              phase, offsets, as_printed)
 
 
 def make_timelike_biharmonic(nu0, branch=1, phase=0.0,
@@ -254,19 +261,8 @@ def make_timelike_biharmonic(nu0, branch=1, phase=0.0,
     family collapses to a geodesic (zero curvature) and
     :class:`DegenerateGeodesicError` is raised.
     """
-    branch = _coerce_branch(branch)
-    nu0 = float(nu0)
-    amp, tilt = math.sinh(nu0), math.cosh(nu0)
-    if amp == 0.0:
-        raise DegenerateGeodesicError(
-            "the timelike biharmonic family degenerates to a geodesic at shape 0"
-        )
-    if as_printed:
-        slope = (_printed_slope(FamilyKind.TIMELIKE_BIHARMONIC, nu0, branch), 0.0)
-    else:
-        plus, minus = _slope_roots_dd(amp, tilt)
-        slope = plus if branch == 1 else minus
-    return _helix_coordinate_curve(0, amp, tilt, slope, float(phase), offsets)
+    return _biharmonic_member(FamilyKind.TIMELIKE_BIHARMONIC, nu0, branch,
+                              phase, offsets, as_printed)
 
 
 def make_spacelike_horizontal(branch=1, phase=0.0, offsets=(0.0, 0.0, 0.0),

@@ -18,8 +18,6 @@ from hhcurves.errors import InvalidInputError
 
 __all__ = [
     "CausalCharacter",
-    "Signature",
-    "SIGNATURE",
     "FrameVector",
     "E1",
     "E2",
@@ -40,33 +38,6 @@ class CausalCharacter(Enum):
     SPACELIKE = "spacelike"
     TIMELIKE = "timelike"
     NULL = "null"
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Diagonal metric signs of the frame directions.
-
-    The product s1·s2·s3 is +1 and the frame is Lorentz-like in the last two
-    directions; these invariants are asserted on construction.
-    """
-
-    s1: int = 1
-    s2: int = -1
-    s3: int = -1
-
-    def __post_init__(self):
-        if (self.s1, self.s2, self.s3) not in {(1, -1, -1)}:
-            raise InvalidInputError(
-                "unsupported signature %r: this geometry is (+, -, -)"
-                % ((self.s1, self.s2, self.s3),)
-            )
-
-    @property
-    def diagonal(self):
-        return (self.s1, self.s2, self.s3)
-
-
-SIGNATURE = Signature()
 
 
 @dataclass(frozen=True)

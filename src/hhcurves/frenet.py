@@ -11,8 +11,8 @@ and the causal signs (eps1, eps2, eps3) at a point:
 Degeneracies raise: :class:`GeodesicDegenerateError` when ``‖∇_T T‖ <= tol``
 and :class:`NullNormalDegenerateError` when the acceleration is non-zero but
 null; over many points, ``evaluate_points`` yields them instead. Unit speed is
-checked, never silently enforced — see ``project_unit_jets`` in the kernel
-backends for what the check tolerates.
+checked, never silently enforced: ``project_unit_jets`` in the kernels raises
+beyond :func:`~hhcurves.curves.unit_speed_tol` of the curve.
 
 The Frenet frame obeys the closure identities ``∇_T N = −k1·eps1·T +
 k2·eps3·B`` and ``∇_T B = −k2·eps2·N``; tests pin both.
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from hhcurves import _kernels
-from hhcurves.curves import DEFAULT_UNIT_TOL_ANALYTIC, DEFAULT_UNIT_TOL_FD
+from hhcurves.curves import unit_speed_tol
 from hhcurves.errors import (
     GeodesicDegenerateError,
     HHCurvesError,
@@ -70,13 +70,14 @@ class FrenetData:
     eps2: float
     eps3: float
 
-    def validate(self, tol=1e-6):
+    def validate(self):
         """Check the defining invariants; raises on violation.
 
         Verifies |inner(T,T)| = |inner(N,N)| = |inner(B,B)| = 1 with the
-        recorded signs, mutual orthogonality, B = cross(T, N), k1 >= 0, and
-        eps1·eps2·eps3 = +1.
+        recorded signs, mutual orthogonality, B = cross(T, N) (each to 1e-6),
+        k1 >= 0, and eps1·eps2·eps3 = +1.
         """
+        tol = 1e-6
         defects = [
             abs(inner(self.t, self.t) - self.eps1),
             abs(inner(self.n, self.n) - self.eps2),
@@ -131,19 +132,17 @@ class FrenetGridSummary:
     b3_max_dev: float
 
 
-def _tolerances(curve, geo_tol, unit_tol):
-    analytic = bool(getattr(curve, "analytic", True))
-    if geo_tol is None:
-        geo_tol = DEFAULT_GEO_TOL_ANALYTIC if analytic else DEFAULT_GEO_TOL_FD
-    if unit_tol is None:
-        unit_tol = DEFAULT_UNIT_TOL_ANALYTIC if analytic else DEFAULT_UNIT_TOL_FD
-    return geo_tol, unit_tol
+def _geo_tol(curve, geo_tol):
+    """``geo_tol``, or when it is None the default for the curve's backing."""
+    if geo_tol is not None:
+        return geo_tol
+    return DEFAULT_GEO_TOL_ANALYTIC if curve.analytic else DEFAULT_GEO_TOL_FD
 
 
-def _evaluate(curve, s, geo_tol, unit_tol, jets_kernel):
+def _evaluate(curve, s, geo_tol, jets_kernel):
     """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
     curves, else ``jets_kernel`` of the projected tangent jets."""
-    geo_tol, unit_tol = _tolerances(curve, geo_tol, unit_tol)
+    geo_tol = _geo_tol(curve, geo_tol)
     hx = getattr(curve, "helix", None)
     if hx is not None:
         return _kernels.helix_eval(
@@ -152,7 +151,8 @@ def _evaluate(curve, s, geo_tol, unit_tol, jets_kernel):
         )
     jets = curve.tangent_jets(s)
     try:
-        return jets_kernel(_kernels.project_unit_jets(jets, unit_tol), geo_tol)
+        return jets_kernel(
+            _kernels.project_unit_jets(jets, unit_speed_tol(curve)), geo_tol)
     except ValueError as exc:
         if isinstance(exc, HHCurvesError):
             raise
@@ -164,7 +164,7 @@ def _frame_jets(jets, geo_tol):
     return (_kernels.frenet_jets(jets, geo_tol),)
 
 
-def point_data(curve, s, geo_tol=None, unit_tol=None):
+def point_data(curve, s, geo_tol=None):
     """Raw kernel evaluation at one point.
 
     Returns ``(fr, tau_direct, tau_frenet)`` where ``fr`` is the kernel's flat
@@ -172,7 +172,7 @@ def point_data(curve, s, geo_tol=None, unit_tol=None):
     others go through jet projection plus the compensated double pipeline.
     Raises the degeneracy errors and :class:`UnitSpeedError` as appropriate.
     """
-    return _evaluate(curve, s, geo_tol, unit_tol, _kernels.point_eval)
+    return _evaluate(curve, s, geo_tol, _kernels.point_eval)
 
 
 # Fewest helix points, counted over all the curves of one call, for which
@@ -189,7 +189,7 @@ def point_data(curve, s, geo_tol=None, unit_tol=None):
 _GRID_MIN_POINTS = 14
 
 
-def evaluate_points(pairs, geo_tol=None, unit_tol=None, frames=False):
+def evaluate_points(pairs, geo_tol=None, *, frames=False):
     """Evaluate each ``(curve, s)`` pair, lazily and in input order.
 
     Yields :func:`point_data`'s ``(fr, tau_direct, tau_frenet)``, or with
@@ -211,7 +211,7 @@ def evaluate_points(pairs, geo_tol=None, unit_tol=None, frames=False):
         results = _kernels.helix_eval_grid(
             *zip(*params),
             [float(pairs[i][1]) for i in on_helix],
-            [_tolerances(pairs[i][0], geo_tol, None)[0] for i in on_helix],
+            [_geo_tol(pairs[i][0], geo_tol) for i in on_helix],
         )
         for i, res in zip(on_helix, results):
             batch[i] = res
@@ -219,7 +219,7 @@ def evaluate_points(pairs, geo_tol=None, unit_tol=None, frames=False):
         if res is None:
             try:
                 res = (compute_frenet if frames else point_data)(
-                    curve, s, geo_tol=geo_tol, unit_tol=unit_tol)
+                    curve, s, geo_tol=geo_tol)
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 res = exc
         elif frames:
@@ -227,19 +227,19 @@ def evaluate_points(pairs, geo_tol=None, unit_tol=None, frames=False):
         yield res
 
 
-def evaluate_grid(curve, grid, geo_tol=None, unit_tol=None, frames=False):
+def evaluate_grid(curve, grid, geo_tol=None, *, frames=False):
     """:func:`evaluate_points` at every point of one curve's grid."""
-    return evaluate_points([(curve, s) for s in grid], geo_tol, unit_tol, frames)
+    return evaluate_points([(curve, s) for s in grid], geo_tol, frames=frames)
 
 
-def direct_tau(curve, s, unit_tol=None):
+def direct_tau(curve, s):
     """Bitension field at ``s`` by the direct route alone, in doubles.
 
     The direct route needs no frame, so unlike :func:`point_data` this is
     defined at degenerate points too.
     """
-    _, unit_tol = _tolerances(curve, None, unit_tol)
-    jets = _kernels.project_unit_jets(curve.tangent_jets(s), unit_tol)
+    jets = _kernels.project_unit_jets(curve.tangent_jets(s),
+                                      unit_speed_tol(curve))
     return _kernels.bitension_direct_jets(jets)
 
 
@@ -257,9 +257,9 @@ def frenet_from_flat(fr):
     )
 
 
-def compute_frenet(curve, s, geo_tol=None, unit_tol=None):
+def compute_frenet(curve, s, geo_tol=None):
     """Frenet data of the curve at parameter value ``s``."""
-    fr = _evaluate(curve, s, geo_tol, unit_tol, _frame_jets)[0]
+    fr = _evaluate(curve, s, geo_tol, _frame_jets)[0]
     return frenet_from_flat(fr)
 
 
@@ -275,9 +275,9 @@ def extended_from_flat(fr):
     )
 
 
-def extended_frenet(curve, s, geo_tol=None, unit_tol=None):
+def extended_frenet(curve, s, geo_tol=None):
     """Frenet data plus curvature derivatives and ∇_T N, ∇_T B."""
-    fr = point_data(curve, s, geo_tol=geo_tol, unit_tol=unit_tol)[0]
+    fr = point_data(curve, s, geo_tol=geo_tol)[0]
     return extended_from_flat(fr)
 
 
@@ -310,13 +310,13 @@ def summarize_frames(grid, data):
     return FrenetGridSummary(grid=tuple(grid), data=tuple(data), **stats)
 
 
-def frenet_over_grid(curve, grid, geo_tol=None, unit_tol=None):
+def frenet_over_grid(curve, grid, geo_tol=None):
     """Frenet data at every grid point plus deviation-from-mean statistics."""
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
     data = []
-    for d in evaluate_grid(curve, grid, geo_tol, unit_tol, frames=True):
+    for d in evaluate_grid(curve, grid, geo_tol, frames=True):
         if isinstance(d, Exception):
             raise d
         data.append(d)

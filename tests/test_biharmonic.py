@@ -199,6 +199,13 @@ class TestClosureIdentity:
 
 
 class TestVerdicts:
+    def test_tolerance_is_not_positional(self):
+        # the verdict tolerance follows the curve; a positional third
+        # argument must not land on geo_tol
+        with pytest.raises(TypeError):
+            check_biharmonic_conditions(make_spacelike_biharmonic(0.5), GRID,
+                                        1e-6)
+
     def test_biharmonic_families(self):
         for curve in (
             make_spacelike_biharmonic(0.5),

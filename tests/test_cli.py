@@ -156,12 +156,14 @@ class TestGenerate:
         assert err.startswith("error:")
 
     def test_wrong_format_rejected(self, capsys):
-        code, _, err = run_cli(
-            ["generate", "--family", "horizontal", "--format", "json"],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error:")
+        # there is no --format flag: every output has one fixed format
+        for fmt in ("json", "csv"):
+            code, _, err = run_cli(
+                ["generate", "--family", "horizontal", "--format", fmt],
+                capsys,
+            )
+            assert code == 2
+            assert err.startswith("error:")
 
 
 _HELIX_FLAGS = {"branch", "phase", "as_printed", "c1", "c2", "c3"}

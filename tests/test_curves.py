@@ -17,6 +17,7 @@ from hhcurves import (
     causal_character_of_curve,
     check_biharmonic_conditions,
     check_unit_speed,
+    compute_frenet,
     fd_derivative,
     integrate_frame_curve,
     is_horizontal,
@@ -306,6 +307,38 @@ class TestCurveInvariants:
         bad = FrameCurve(lambda s: (2.0, 0.0, 0.0))
         with pytest.raises(UnitSpeedError):
             check_unit_speed(bad, GRID)
+
+    def test_unit_speed_tolerance_follows_the_backing(self):
+        # A spacelike helix tangent scaled so that inner(T, T) = 1 + 1e-7:
+        # beyond the 1e-9 allowed with closed-form derivatives, within the
+        # 1e-6 allowed with finite differences. Every entry point agrees.
+        amp, tilt, a = math.cosh(0.5), math.sinh(0.5), 2.5
+        f = math.sqrt(1.0 + 1e-7)
+
+        def tangent(s):
+            u = a * s
+            return (f * amp * math.cosh(u), f * amp * math.sinh(u), f * tilt)
+
+        def derivative(s, order):
+            u = a * s
+            c, sh = math.cosh(u), math.sinh(u)
+            if order % 2:
+                c, sh = sh, c
+            return (f * amp * a**order * c, f * amp * a**order * sh, 0.0)
+
+        analytic = FrameCurve(tangent, derivative=derivative)
+        fd_backed = FrameCurve(tangent)
+        assert analytic.analytic and not fd_backed.analytic
+        for call in (
+            lambda curve: check_unit_speed(curve, GRID),
+            lambda curve: compute_frenet(curve, 0.25),
+            lambda curve: check_biharmonic_conditions(curve, GRID),
+        ):
+            with pytest.raises(UnitSpeedError):
+                call(analytic)
+            call(fd_backed)
+        assert check_unit_speed(fd_backed, GRID) == pytest.approx(1e-7,
+                                                                  rel=1e-6)
 
     @staticmethod
     def _unit_derivative(bad_order, bad_value):

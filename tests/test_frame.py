@@ -13,7 +13,6 @@ from hhcurves import (
     CausalCharacter,
     FrameVector,
     InvalidInputError,
-    Signature,
     causal_character,
     cross,
     inner,
@@ -160,8 +159,3 @@ class TestCausalCharacter:
         assert causal_character((1.0, 0.0, 0.0), tol=2.0) is CausalCharacter.NULL
         with pytest.raises(InvalidInputError):
             causal_character(E1, tol=-1.0)
-
-    def test_signature_is_pinned(self):
-        assert Signature().diagonal == (1, -1, -1)
-        with pytest.raises(InvalidInputError):
-            Signature(1, 1, -1)
