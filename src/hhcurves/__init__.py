@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     MixedCausalityError,
     NullNormalDegenerateError,
+    NumericOverflowError,
     UnitSpeedError,
 )
 from .frame import (
@@ -139,6 +140,7 @@ __all__ = [
     "NullNormalDegenerateError",
     "UnitSpeedError",
     "MixedCausalityError",
+    "NumericOverflowError",
     # frame
     "CausalCharacter",
     "FrameVector",

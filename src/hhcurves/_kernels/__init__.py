@@ -6,6 +6,7 @@ kernels through it and ``perfbench``'s tracer patches their names here; and
 """
 
 from hhcurves._kernels.pure import (
+    array_ops,
     bitension_direct_jets,
     covd,
     cross,
@@ -21,6 +22,7 @@ from hhcurves._kernels.pure import (
 BACKEND = "pure"
 
 __all__ = [
+    "array_ops",
     "inner",
     "cross",
     "covd",

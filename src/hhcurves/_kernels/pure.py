@@ -1,9 +1,14 @@
 """The numerical kernels, in Python.
 
-This module is the one implementation of the numerical hot paths.
-Everything here works on plain tuples of floats, except
-``helix_eval_grid``, which runs the double-double helix code over float64
-arrays (NumPy is imported there, not at module import).
+This module is the one implementation of the numerical hot paths. The jet
+pipeline works on plain tuples of floats. Two kinds of code also run over
+float64 arrays, one lane per point, with bit for bit the values of the
+float form: ``helix_eval_grid`` runs the double-double helix code, and
+``inner`` and ``cross`` take :func:`array_ops` as their ``ops`` argument.
+Both get the operations whose two forms differ from a small table
+(``_FloatOps`` / ``_ArrayOps``); for the compensated frame operations that
+is ``fsum``, whose array form :func:`_fsum_array` rounds as ``math.fsum``
+does. NumPy is imported on first use, not at module import.
 
 Two precision strategies coexist:
 
@@ -21,9 +26,7 @@ Two precision strategies coexist:
   deriving cosh and sinh from a single double-double exponential removes the
   problem at its source. Both bitension routes are still computed by
   independent chains — the extra precision is shared, the algebra is not.
-  The same code evaluates one point on floats or a whole grid on arrays;
-  a small table of operations (``_FloatOps`` / ``_ArrayOps``) supplies the
-  few steps whose two forms differ.
+  The same code evaluates one point on floats or a whole grid on arrays.
 
 Conventions (frame components throughout): metric signature ``(+, -, -)``;
 ``inner(x, y) = x1·y1 − x2·y2 − x3·y3``; the connection bilinear is
@@ -42,6 +45,7 @@ import math
 from hhcurves.errors import (
     GeodesicDegenerateError,
     NullNormalDegenerateError,
+    NumericOverflowError,
     UnitSpeedError,
 )
 
@@ -77,30 +81,231 @@ def _two_prod(a, b):
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
+def _fsum_array(addends):
+    """``math.fsum`` of a sequence of float64 arrays, lane by lane.
+
+    Each lane gets exactly what ``math.fsum`` returns for its addends (the
+    same bits, the same sign of zero) when those addends and their sum are
+    finite, and NaN otherwise, where ``math.fsum`` returns inf or NaN or
+    raises (``inf - inf``, intermediate overflow).
+
+    CPython's ``msum`` keeps the exact running sum as non-overlapping
+    partials; they are Shewchuk's Grow-Expansion of the addends with its
+    zero components left out ("Adaptive Precision Floating-Point Arithmetic
+    and Fast Robust Geometric Predicates", 1997). So the expansion is built
+    here with its zeros in place, and CPython's final rounding walks it from
+    the top, passing over each lane's zeros: add components while the sum
+    stays exact, then apply the half-way correction that makes ties round
+    to even across partials.
+
+    Each two-sum orders its operands by magnitude, as ``msum`` does. The
+    branch-free :func:`_two_sum` would overflow in ``s - a`` near
+    ``DBL_MAX`` where ``msum`` does not.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = []
+        for q in addends:
+            grown = []
+            for e in comps:
+                swap = np.abs(q) < np.abs(e)
+                q, h = _quick_two_sum(np.where(swap, e, q), np.where(swap, q, e))
+                grown.append(h)
+            grown.append(q)
+            comps = grown
+        # An overflow or a non-finite addend leaves the top component
+        # non-finite: each two-sum carries inf or NaN up into its sum.
+        top = comps[-1]
+        # msum's rounding, from the top: hi = x + y; yr = hi - x;
+        # lo = y - yr; stop once lo != 0. A zero component leaves hi as it
+        # is and does not stop the sum, and hi starts at the +0.0 that msum
+        # gives for no partials; so only the correction passes over zeros.
+        hi = lo = np.zeros(np.shape(top))
+        stopped = np.zeros(np.shape(top), dtype=bool)
+        for c in reversed(comps):
+            s = hi + c
+            err = c - (s - hi)
+            # At the first non-zero partial below the stop, a half-way lo
+            # of this partial's sign rounds hi away from the tie. Then
+            # lo = 0, so that every later step leaves hi as it is.
+            twice = 2.0 * lo
+            up = hi + twice
+            fixing = stopped & (c != 0.0)
+            fixing_up = fixing & ((lo > 0.0) == (c > 0.0)) & (up - hi == twice)
+            hi = np.where(stopped, np.where(fixing_up, up, hi), s)
+            lo = np.where(stopped, np.where(fixing, 0.0, lo), err)
+            stopped = stopped | (err != 0.0)
+        return np.where(np.isfinite(top) & np.isfinite(hi), hi, np.nan)
+
+
+# --------------------------------------------------------------------------
+# Operation tables: one point on floats, or many on float64 arrays
+# --------------------------------------------------------------------------
+
+
+def _sign(v):
+    return 1.0 if v > 0.0 else -1.0
+
+
+def _value(x):
+    """The double nearest a double-double: float(x), also over arrays."""
+    return x.hi + x.lo
+
+
+class _FloatOps:
+    """Float forms of the few operations that differ between one point and a
+    grid of points (:class:`_ArrayOps` has the array forms).
+
+    ``inner``, ``cross`` and the double-double code below take one of these
+    tables as ``ops`` and are otherwise the same for both.
+    """
+
+    sqrt = staticmethod(math.sqrt)
+    floor = staticmethod(math.floor)
+    ldexp = staticmethod(math.ldexp)
+    sign = staticmethod(_sign)
+    any = all = staticmethod(bool)
+
+    def __init__(self):
+        # On the instance, where the lookup in every scalar inner and cross
+        # costs no more than math.fsum's own.
+        self.fsum = math.fsum
+
+    @staticmethod
+    def select(cond, a, b):
+        """Double-double ``a`` where ``cond`` holds, else ``b``."""
+        return a if cond else b
+
+    @staticmethod
+    def still_live(live, t):
+        """Whether the exp series goes on after a term whose hi word is t."""
+        return live and not abs(t) <= 1e-40
+
+    @staticmethod
+    def exp_special(x):
+        """dd_exp at arguments the series does not evaluate, else None."""
+        if x.hi <= -709.0:
+            return DD(0.0)
+        if x.hi >= 709.0:
+            raise NumericOverflowError("dd_exp argument too large")
+        if x.hi != x.hi:  # u = a·s + phase overflowed to inf - inf
+            raise NumericOverflowError("dd_exp argument is not a number")
+        if x.hi == 0.0 and x.lo == 0.0:
+            return DD(1.0)
+        return None
+
+    @staticmethod
+    def check_exp_nonzero(e):
+        """Raise for the 0 that dd_exp gives below its range."""
+        if e.hi == 0.0:
+            raise NumericOverflowError("dd_exp argument too small")
+
+    @staticmethod
+    def degenerate(a10, q0, geo_tol):
+        """Raise the degeneracy error of a helix point, if it has one."""
+        if math.hypot(_value(a10[0]), _value(a10[1]), _value(a10[2])) <= geo_tol:
+            raise GeodesicDegenerateError(
+                "curvature vanishes along this helix (‖∇_T T‖ <= %r)"
+                % (geo_tol,)
+            )
+        if abs(_value(q0)) <= geo_tol * geo_tol:
+            raise NullNormalDegenerateError(
+                "acceleration is null along this helix (inner(A, A) = %r)"
+                % (_value(q0),)
+            )
+        return False
+
+
+class _ArrayOps:
+    """The operations of :class:`_FloatOps` over float64 arrays.
+
+    Nothing here raises. Arguments outside the ``dd_exp`` range and
+    degenerate points are computed like any other and left to the caller to
+    mask (see :func:`helix_eval_grid`); ``fsum`` gives NaN in the lanes
+    where ``math.fsum`` fails or is not finite.
+    """
+
+    def __init__(self, np):
+        self.np = np
+        self.fsum = _fsum_array
+        self.sqrt = np.sqrt
+        self.floor = np.floor
+
+    def ldexp(self, x, m):
+        return self.np.ldexp(x, m.astype(int))
+
+    def any(self, mask):
+        return bool(mask.any())
+
+    def all(self, mask):
+        return bool(mask.all())
+
+    def sign(self, v):
+        return self.np.where(v > 0.0, 1.0, -1.0)
+
+    def select(self, cond, a, b):
+        where = self.np.where
+        return DD(where(cond, a.hi, b.hi), where(cond, a.lo, b.lo))
+
+    def still_live(self, live, t):
+        return live & ~(self.np.abs(t) <= 1e-40)
+
+    def exp_special(self, x):
+        # Zero arguments take the series, which yields exactly DD(1.0).
+        return None
+
+    def check_exp_nonzero(self, e):
+        pass
+
+    def degenerate(self, a10, q0, geo_tol):
+        """Mask of points that may be degenerate: a superset of the points
+        where :meth:`_FloatOps.degenerate` raises (the norm here is the naive
+        one, so its bound has a margin of 2)."""
+        x, y, z = (_value(c) for c in a10)
+        norm = self.np.sqrt(x * x + y * y + z * z)
+        return (norm <= 2.0 * geo_tol) | (abs(_value(q0)) <= geo_tol * geo_tol)
+
+
+_FLOAT_OPS = _FloatOps()
+
+
+def array_ops():
+    """The operation table for float64 arrays (NumPy is imported here)."""
+    import numpy as np
+
+    return _ArrayOps(np)
+
+
 # --------------------------------------------------------------------------
 # Compensated double-precision frame operations
 # --------------------------------------------------------------------------
 
 
-def inner(x, y):
-    """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated."""
+def inner(x, y, ops=_FLOAT_OPS):
+    """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated.
+
+    With :func:`array_ops` as ``ops`` the components are float64 arrays and
+    each lane gets what the float form gives its values, bit for bit.
+    """
     p0, e0 = _two_prod(x[0], y[0])
     p1, e1 = _two_prod(x[1], y[1])
     p2, e2 = _two_prod(x[2], y[2])
-    return math.fsum((p0, e0, -p1, -e1, -p2, -e2))
+    return ops.fsum((p0, e0, -p1, -e1, -p2, -e2))
 
 
-def cross(x, y):
-    """Frame cross product x ∧ y, compensated per component."""
+def cross(x, y, ops=_FLOAT_OPS):
+    """Frame cross product x ∧ y, compensated per component (over arrays
+    as :func:`inner` is)."""
     p, e = _two_prod(x[1], y[2])
     q, f = _two_prod(x[2], y[1])
-    c1 = math.fsum((-p, -e, q, f))
+    c1 = ops.fsum((-p, -e, q, f))
     p, e = _two_prod(x[0], y[2])
     q, f = _two_prod(x[2], y[0])
-    c2 = math.fsum((-p, -e, q, f))
+    c2 = ops.fsum((-p, -e, q, f))
     p, e = _two_prod(x[0], y[1])
     q, f = _two_prod(x[1], y[0])
-    c3 = math.fsum((p, e, -q, -f))
+    c3 = ops.fsum((p, e, -q, -f))
     return (c1, c2, c3)
 
 
@@ -196,9 +401,13 @@ def bitension_direct_jets(jets):
     ``jets`` is a 4-tuple of frame 3-vectors: the unit tangent and its first
     three parameter derivatives.
     """
-    a10, a11, a12 = _chain_a1(jets)
-    a3 = _chain_a3(jets, a10, a11, a12)
-    r = curvature_op(jets[0], a10, jets[0])
+    return _tau_direct(jets, _chain_a1(jets))
+
+
+def _tau_direct(jets, a1):
+    """τ₂ of :func:`bitension_direct_jets` from ``a1 = _chain_a1(jets)``."""
+    a3 = _chain_a3(jets, *a1)
+    r = curvature_op(jets[0], a1[0], jets[0])
     return (a3[0] - r[0], a3[1] - r[1], a3[2] - r[2])
 
 
@@ -236,10 +445,6 @@ def project_unit_jets(jets, unit_tol):
     return (t0, t1, t2, t3)
 
 
-def _sign(v):
-    return 1.0 if v > 0.0 else -1.0
-
-
 def frenet_jets(jets, geo_tol):
     """Frenet apparatus from unit-speed tangent jets.
 
@@ -254,8 +459,13 @@ def frenet_jets(jets, geo_tol):
     :class:`NullNormalDegenerateError` when ∇_T T is non-zero but null at
     tolerance geo_tol².
     """
+    return _frenet_chain(jets, _chain_a1(jets), geo_tol)
+
+
+def _frenet_chain(jets, a1, geo_tol):
+    """:func:`frenet_jets` from ``a1 = _chain_a1(jets)``."""
     t0, t1, _, _ = jets
-    a10, a11, a12 = _chain_a1(jets)
+    a10, a11, a12 = a1
     if math.hypot(*a10) <= geo_tol:
         raise GeodesicDegenerateError(
             "curvature vanishes at this point (‖∇_T T‖ <= %r)" % (geo_tol,)
@@ -321,9 +531,14 @@ def _tau_from_frenet(fr):
 
 
 def point_eval(jets, geo_tol):
-    """One-pass evaluation: (frenet 23-tuple, tau_direct, tau_frenet)."""
-    tau_d = bitension_direct_jets(jets)
-    fr = frenet_jets(jets, geo_tol)
+    """One-pass evaluation: (frenet 23-tuple, tau_direct, tau_frenet).
+
+    Both routes start from the same first covariant chain ``∇_T T`` and its
+    jets, as the helix kernel's do; from there they are independent.
+    """
+    a1 = _chain_a1(jets)
+    tau_d = _tau_direct(jets, a1)
+    fr = _frenet_chain(jets, a1, geo_tol)
     return fr, tau_d, _tau_from_frenet(fr)
 
 
@@ -409,119 +624,6 @@ class DD:
         return DD(q, e) + q3
 
 
-def _value(x):
-    """The double nearest a double-double: float(x), also over arrays."""
-    return x.hi + x.lo
-
-
-class _FloatOps:
-    """Float forms of the few operations that differ between one point and a
-    grid of points (:class:`_ArrayOps` has the array forms).
-
-    The double-double code below takes one of these tables as ``ops`` and is
-    otherwise the same for both.
-    """
-
-    sqrt = staticmethod(math.sqrt)
-    floor = staticmethod(math.floor)
-    ldexp = staticmethod(math.ldexp)
-    sign = staticmethod(_sign)
-    any = all = staticmethod(bool)
-
-    @staticmethod
-    def select(cond, a, b):
-        """Double-double ``a`` where ``cond`` holds, else ``b``."""
-        return a if cond else b
-
-    @staticmethod
-    def still_live(live, t):
-        """Whether the exp series goes on after a term whose hi word is t."""
-        return live and not abs(t) <= 1e-40
-
-    @staticmethod
-    def exp_special(x):
-        """dd_exp at arguments the series does not evaluate, else None."""
-        if x.hi <= -709.0:
-            return DD(0.0)
-        if x.hi >= 709.0:
-            raise OverflowError("dd_exp argument too large")
-        if x.hi != x.hi:  # u = a·s + phase overflowed to inf - inf
-            raise OverflowError("dd_exp argument is not a number")
-        if x.hi == 0.0 and x.lo == 0.0:
-            return DD(1.0)
-        return None
-
-    @staticmethod
-    def check_exp_nonzero(e):
-        """Raise for the 0 that dd_exp gives below its range."""
-        if e.hi == 0.0:
-            raise OverflowError("dd_exp argument too small")
-
-    @staticmethod
-    def degenerate(a10, q0, geo_tol):
-        """Raise the degeneracy error of a helix point, if it has one."""
-        if math.hypot(_value(a10[0]), _value(a10[1]), _value(a10[2])) <= geo_tol:
-            raise GeodesicDegenerateError(
-                "curvature vanishes along this helix (‖∇_T T‖ <= %r)"
-                % (geo_tol,)
-            )
-        if abs(_value(q0)) <= geo_tol * geo_tol:
-            raise NullNormalDegenerateError(
-                "acceleration is null along this helix (inner(A, A) = %r)"
-                % (_value(q0),)
-            )
-        return False
-
-
-class _ArrayOps:
-    """The operations of :class:`_FloatOps` over float64 arrays.
-
-    Nothing here raises. Arguments outside the ``dd_exp`` range and
-    degenerate points are computed like any other and left to the caller to
-    mask (see :func:`helix_eval_grid`).
-    """
-
-    def __init__(self, np):
-        self.np = np
-        self.sqrt = np.sqrt
-        self.floor = np.floor
-
-    def ldexp(self, x, m):
-        return self.np.ldexp(x, m.astype(int))
-
-    def any(self, mask):
-        return bool(mask.any())
-
-    def all(self, mask):
-        return bool(mask.all())
-
-    def sign(self, v):
-        return self.np.where(v > 0.0, 1.0, -1.0)
-
-    def select(self, cond, a, b):
-        where = self.np.where
-        return DD(where(cond, a.hi, b.hi), where(cond, a.lo, b.lo))
-
-    def still_live(self, live, t):
-        return live & ~(self.np.abs(t) <= 1e-40)
-
-    def exp_special(self, x):
-        # Zero arguments take the series, which yields exactly DD(1.0).
-        return None
-
-    def check_exp_nonzero(self, e):
-        pass
-
-    def degenerate(self, a10, q0, geo_tol):
-        """Mask of points that may be degenerate: a superset of the points
-        where :meth:`_FloatOps.degenerate` raises (the norm here is the naive
-        one, so its bound has a margin of 2)."""
-        x, y, z = (_value(c) for c in a10)
-        norm = self.np.sqrt(x * x + y * y + z * z)
-        return (norm <= 2.0 * geo_tol) | (abs(_value(q0)) <= geo_tol * geo_tol)
-
-
-_FLOAT_OPS = _FloatOps()
 
 
 def dd_sqrt(x, ops=_FLOAT_OPS):
@@ -585,7 +687,7 @@ def dd_cosh_sinh(x, ops=_FLOAT_OPS):
     Deriving both from one exponential keeps cosh²−sinh² = 1 to ~1e-32, which
     is the property the helix kernel exists to preserve. Below the ``dd_exp``
     range, where the exponential is 0, the float form raises
-    :class:`OverflowError`.
+    :class:`NumericOverflowError`.
     """
     e = dd_exp(x, ops)
     ops.check_exp_nonzero(e)
@@ -774,7 +876,7 @@ def helix_eval_grid(form, amp, tilt, slope_hi, slope_lo, phase, s_array,
     u = a * s + phase
     with np.errstate(all="ignore"):
         fr, tau_d, tau_f, degenerate = _helix(
-            _ArrayOps(np), form, amp, tilt, a, u, geo_tol
+            array_ops(), form, amp, tilt, a, u, geo_tol
         )
         cols = np.array(np.broadcast_arrays(s, *(fr + tau_d + tau_f))[1:])
     redo = (

@@ -472,15 +472,16 @@ def main(argv=None):
     ns = parser.parse_args(_merge_value_flags(list(argv)))
     try:
         return ns.func(ns)
+    # ArithmeticError comes first: NumericOverflowError is an HHCurvesError too
+    except ArithmeticError as exc:
+        sys.stderr.write("error: arithmetic failure: %s\n" % exc)
+        return 2
     except HHCurvesError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except OSError as exc:
         sys.stderr.write("error: io failure: %s\n" % exc)
         return 3
-    except ArithmeticError as exc:
-        sys.stderr.write("error: arithmetic failure: %s\n" % exc)
-        return 2
 
 
 if __name__ == "__main__":

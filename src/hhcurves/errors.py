@@ -13,6 +13,7 @@ __all__ = [
     "NullNormalDegenerateError",
     "UnitSpeedError",
     "MixedCausalityError",
+    "NumericOverflowError",
 ]
 
 
@@ -64,3 +65,13 @@ class UnitSpeedError(InvalidInputError):
 
 class MixedCausalityError(InvalidInputError):
     """A curve changes causal character over the sampled range."""
+
+
+class NumericOverflowError(HHCurvesError, OverflowError):
+    """A value left the range of double arithmetic.
+
+    Raised for a helix argument outside the domain of the double-double
+    exponential (``|u| >= 709``, or not a number) and for tangent jets whose
+    products overflow. It is also an :class:`OverflowError`, and the CLI
+    reports it as an arithmetic failure (exit 2).
+    """

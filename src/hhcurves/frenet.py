@@ -30,6 +30,7 @@ from hhcurves.errors import (
     HHCurvesError,
     InvalidInputError,
     NullNormalDegenerateError,
+    NumericOverflowError,
 )
 from hhcurves.frame import FrameVector, cross, inner
 
@@ -153,11 +154,13 @@ def _evaluate(curve, s, geo_tol, jets_kernel):
     try:
         return jets_kernel(
             _kernels.project_unit_jets(jets, unit_speed_tol(curve)), geo_tol)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         if isinstance(exc, HHCurvesError):
             raise
-        # math.fsum meets inf - inf once products of the jets overflow
-        raise OverflowError("jet arithmetic overflows: %s" % (exc,)) from exc
+        # math.fsum meets inf - inf, or a partial sum past DBL_MAX, once
+        # products of the jets overflow
+        raise NumericOverflowError(
+            "jet arithmetic overflows: %s" % (exc,)) from exc
 
 
 def _frame_jets(jets, geo_tol):

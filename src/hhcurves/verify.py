@@ -158,10 +158,6 @@ def _vdiff(u, v):
     return max(abs(u[i] - v[i]) for i in range(3))
 
 
-def _vmax(u):
-    return max(abs(u[i]) for i in range(3))
-
-
 def _evaluated(pairs, frames=False):
     """:func:`frenet.evaluate_points` over the ``(curve, s)`` pairs, in
     order; a degeneracy error raises where it is met, as from the per-point
@@ -250,60 +246,57 @@ def _check_curvature_table(cfg, rng):
 
 
 def _check_cross_properties(cfg, rng):
+    import numpy as np
+
     tol = _tol(cfg, 1e-12)
-    inner, cross, mixed = _frame.inner, _frame.cross, _frame.mixed
-    worst = 0.0
+    ops = _kernels.array_ops()
+
+    def inner(x, y):
+        return _kernels.inner(x, y, ops)
+
+    def cross(x, y):
+        return _kernels.cross(x, y, ops)
+
+    # One lane per triple. The 11 draws of a row are those a loop over the
+    # triples would take in turn: x, y, z, then a and b.
     n_real = 1000
-    for _ in range(n_real):
-        x, y, z = (tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(3))
-        a, b = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
-        cxy = tuple(cross(x, y))
+    x, y, z, (a,), (b,) = np.split(
+        rng.uniform(-1.0, 1.0, (n_real, 11)).T.copy(), [3, 6, 9, 10])
+    cxy, cyz, czx = cross(x, y), cross(y, z), cross(z, x)
+    gxz, gyz = inner(x, z), inner(y, z)
+    m = inner(cxy, z)  # mixed(x, y, z)
+    dbl = cross(cxy, z)
+    residuals = [
         # (i) bilinearity and antisymmetry
-        left = tuple(cross(tuple(a * x[i] + b * y[i] for i in range(3)), z))
-        cxz, cyz = tuple(cross(x, z)), tuple(cross(y, z))
-        ref = tuple(a * cxz[i] + b * cyz[i] for i in range(3))
-        worst = max(worst, _vdiff(left, ref))
-        worst = max(worst, _vdiff(cxy, tuple(-c for c in cross(y, x))))
+        np.subtract(cross(a * x + b * y, z), a * cross(x, z) + b * cyz),
+        np.subtract(cxy, np.negative(cross(y, x))),
         # (ii) orthogonality to both factors
-        worst = max(worst, abs(inner(cxy, x)), abs(inner(cxy, y)))
+        inner(cxy, x), inner(cxy, y),
         # (iv) double-cross expansion
-        dbl = tuple(cross(cxy, z))
-        gxz, gyz = inner(x, z), inner(y, z)
-        ref4 = tuple(gxz * y[i] - gyz * x[i] for i in range(3))
-        worst = max(worst, _vdiff(dbl, ref4))
+        np.subtract(dbl, gxz * y - gyz * x),
         # (v) mixed product vs -det and cyclic symmetry
-        m = mixed(x, y, z)
-        worst = max(worst, abs(m + _det3(x, y, z)))
-        worst = max(worst, abs(m - mixed(y, z, x)), abs(m - mixed(z, x, y)))
+        m + _det3(x, y, z), m - inner(cyz, x), m - inner(czx, y),
         # (vi) cyclic double-cross sum
-        j1 = tuple(cross(cxy, z))
-        j2 = tuple(cross(cross(y, z), x))
-        j3 = tuple(cross(cross(z, x), y))
-        worst = max(
-            worst, _vmax(tuple(j1[i] + j2[i] + j3[i] for i in range(3)))
-        )
+        np.add(np.add(dbl, cross(cyz, x)), cross(czx, y)),
+    ]
+    # np.max, not max: a NaN residual must not hide behind the others
+    worst = float(np.max([np.abs(r).max() for r in residuals]))
     # basis identities and integer triples: exact
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     basis_ok = (
-        tuple(cross(e1, e2)) == (0.0, 0.0, 1.0)
-        and tuple(cross(e2, e3)) == (-1.0, 0.0, 0.0)
-        and tuple(cross(e3, e1)) == (0.0, 1.0, 0.0)
+        tuple(_frame.cross(e1, e2)) == (0.0, 0.0, 1.0)
+        and tuple(_frame.cross(e2, e3)) == (-1.0, 0.0, 0.0)
+        and tuple(_frame.cross(e3, e1)) == (0.0, 1.0, 0.0)
     )
-    int_ok = True
-    for _ in range(50):
-        x, y, z = (tuple(int(c) for c in rng.integers(-3, 4, 3)) for _ in range(3))
-        cxy = tuple(cross(x, y))
-        if tuple(cross(y, x)) != tuple(-c for c in cxy):
-            int_ok = False
-        if inner(cxy, x) != 0.0 or inner(cxy, y) != 0.0:
-            int_ok = False
-        if mixed(x, y, z) != -float(_det3(x, y, z)):
-            int_ok = False
-        gxz, gyz = inner(x, z), inner(y, z)
-        if tuple(cross(cxy, z)) != tuple(
-            float(gxz * y[i] - gyz * x[i]) for i in range(3)
-        ):
-            int_ok = False
+    x, y, z = np.split(rng.integers(-3, 4, (50, 9)).T.astype(float), 3)
+    cxy = np.array(cross(x, y))
+    gxz, gyz = inner(x, z), inner(y, z)
+    int_ok = bool(
+        (np.array(cross(y, x)) == -cxy).all()
+        and (inner(cxy, x) == 0.0).all() and (inner(cxy, y) == 0.0).all()
+        and (inner(cxy, z) == -_det3(x, y, z)).all()
+        and (np.array(cross(cxy, z)) == gxz * y - gyz * x).all()
+    )
     status = _status(worst <= tol and basis_ok and int_ok)
     details = (
         "%d seeded real triples, properties (i)-(vi): max_residual=%s "

@@ -468,6 +468,18 @@ class TestFrenet:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0:400:25", "dd_exp argument too large"),
+        ("-400:0:25", "dd_exp argument too small"),
+    ])
+    def test_exp_domain_is_an_arithmetic_failure(self, grid, message, capsys):
+        code, out, err = run_cli(
+            ["frenet", "--family", "spacelike", "--alpha0", "0.5",
+             "--range", grid], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: arithmetic failure: %s\n" % message
+
 
 class TestVerify:
     def test_full_run_passes(self, capsys):

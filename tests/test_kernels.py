@@ -16,7 +16,9 @@ from hhcurves import biharmonic, cli, families, frenet
 from hhcurves._kernels import pure
 from hhcurves import (
     GeodesicDegenerateError,
+    HHCurvesError,
     NullNormalDegenerateError,
+    NumericOverflowError,
     UnitSpeedError,
 )
 from hhcurves.curves import FrameCurve, HelixSpec
@@ -333,7 +335,7 @@ def test_out_of_range_grids_raise_what_the_point_route_raises():
             assert _same_outcome(fn, curve, grid)[0] == "raised"
     grid = [0.01 * i for i in range(13)] + [400.0]
     assert _outcome(biharmonic.residual_norms, curve, grid) == (
-        "raised", OverflowError, "dd_exp argument too large")
+        "raised", NumericOverflowError, "dd_exp argument too large")
 
 
 def _geodesic_helix():
@@ -560,6 +562,36 @@ def test_evaluate_points_takes_one_grid_pass_over_all_helices(monkeypatch):
         got = list(frenet.evaluate_points(points))
         assert got == [frenet.point_data(c, s) for c, s in points]
         assert len(calls["grid"]) == passes
+
+
+def test_overflow_is_a_library_error():
+    # outside the dd_exp domain, and jets whose products overflow: after
+    # projection inner(t1, t1) meets inf - inf for the timelike tangent,
+    # and sums two products of 1.2e308 for the spacelike one
+    helix = families.make_spacelike_biharmonic(0.5)
+
+    def jet_curve(t0, t1):
+        return FrameCurve(lambda s: t0, derivative=lambda s, order: (
+            t1 if order == 1 else (0.0, 0.0, 0.0)))
+
+    inf_minus_inf = jet_curve((0.0, 1.0, 0.0), (1e200, 0.0, 1e200))
+    past_max = jet_curve((1.0, 0.0, 0.0), (0.0, 1.1e154, 1.1e154))
+    for call, message in (
+        (lambda: frenet.compute_frenet(helix, 400.0),
+         "dd_exp argument too large"),
+        (lambda: biharmonic.residual_norms(helix, [0.0, 0.5, 400.0]),
+         "dd_exp argument too large"),
+        (lambda: frenet.compute_frenet(helix, -400.0),
+         "dd_exp argument too small"),
+        (lambda: frenet.point_data(inf_minus_inf, 0.0),
+         "jet arithmetic overflows: -inf \\+ inf in fsum"),
+        (lambda: frenet.point_data(past_max, 0.0),
+         "jet arithmetic overflows: intermediate overflow in fsum"),
+    ):
+        with pytest.raises(NumericOverflowError, match=message) as info:
+            call()
+        assert isinstance(info.value, HHCurvesError)
+        assert isinstance(info.value, OverflowError)
 
 
 def test_evaluate_points_raises_outside_the_exp_range():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import hhcurves.biharmonic
@@ -20,6 +21,7 @@ from hhcurves import (
     verify_claim,
 )
 
+from cross_properties_loop import check_cross_properties
 from evaluation_routes import per_point_route
 
 
@@ -92,6 +94,23 @@ class TestDeterminism:
         with per_point_route():
             assert run_all(VerifyConfig(seed=seed)).to_json() == batched
 
+    @pytest.mark.parametrize("seed, residual", [
+        (7, 3.3306690738754696e-16),
+        (123, 4.440892098500626e-16),
+        (12345, 4.440892098500626e-16),
+    ])
+    def test_cross_properties_pass_gives_the_loop_result(self, seed, residual):
+        # the check takes its 1000 triples in one array pass; one triple at
+        # a time, with the same draws, every number must be the same
+        cfg = VerifyConfig(seed=seed)
+        rng = np.random.default_rng(
+            [seed, registry_ids().index("cross-properties")])
+        status, worst, details = check_cross_properties(cfg, rng)
+        check = verify_claim("cross-properties", cfg)
+        assert (check.status, check.max_residual, check.details) == (
+            status, worst, details)
+        assert worst == residual
+
 
 class TestReportSchema:
     def test_json_round_trip(self, report):
@@ -161,6 +180,25 @@ class TestNegativeControls:
         monkeypatch.setattr(hhcurves.connection, "CONNECTION", bad)
         result = verify_claim("connection-table")
         assert result.status == STATUS_REFUTED_AS_PRINTED
+
+    def test_a_nan_lane_fails_cross_properties(self, monkeypatch):
+        # cross-properties takes the max of its residuals over 1000 lanes:
+        # a NaN in one lane of the inner products must not hide behind the
+        # finite residuals of the cross products
+        from hhcurves._kernels import pure
+
+        fsum = pure._fsum_array
+
+        def nan_in_lane_0(addends):
+            total = fsum(addends)
+            if len(addends) == 6:  # inner, not cross
+                total[0] = float("nan")
+            return total
+
+        monkeypatch.setattr(pure, "_fsum_array", nan_in_lane_0)
+        result = verify_claim("cross-properties")
+        assert result.status == STATUS_REFUTED_AS_PRINTED
+        assert "max_residual=nan" in result.details
 
 
 class TestFailClosed:
