@@ -4,11 +4,12 @@ This module is the one implementation of the numerical hot paths. The jet
 pipeline works on plain tuples of floats. Two kinds of code also run over
 float64 arrays, one lane per point, with bit for bit the values of the
 float form: ``helix_eval_grid`` runs the double-double helix code, and
-``inner`` and ``cross`` take :func:`array_ops` as their ``ops`` argument.
-Both get the operations whose two forms differ from a small table
-(``_FloatOps`` / ``_ArrayOps``); for the compensated frame operations that
-is ``fsum``, whose array form :func:`_fsum_array` rounds as ``math.fsum``
-does. NumPy is imported on first use, not at module import.
+:func:`array_ops` carries array forms of ``inner`` and ``cross``. The
+helix code gets the operations whose two forms differ from a small table
+(``_FloatOps`` / ``_ArrayOps``); ``inner`` and ``cross`` are written once
+and built for each form around its ``fsum``: ``math.fsum``, or
+:func:`_fsum_array`, which rounds as ``math.fsum`` does. NumPy is imported
+on first use, not at module import.
 
 Two precision strategies coexist:
 
@@ -157,8 +158,8 @@ class _FloatOps:
     """Float forms of the few operations that differ between one point and a
     grid of points (:class:`_ArrayOps` has the array forms).
 
-    ``inner``, ``cross`` and the double-double code below take one of these
-    tables as ``ops`` and are otherwise the same for both.
+    The double-double code below takes one of these tables as ``ops`` and is
+    otherwise the same for both.
     """
 
     sqrt = staticmethod(math.sqrt)
@@ -166,11 +167,6 @@ class _FloatOps:
     ldexp = staticmethod(math.ldexp)
     sign = staticmethod(_sign)
     any = all = staticmethod(bool)
-
-    def __init__(self):
-        # On the instance, where the lookup in every scalar inner and cross
-        # costs no more than math.fsum's own.
-        self.fsum = math.fsum
 
     @staticmethod
     def select(cond, a, b):
@@ -222,13 +218,13 @@ class _ArrayOps:
 
     Nothing here raises. Arguments outside the ``dd_exp`` range and
     degenerate points are computed like any other and left to the caller to
-    mask (see :func:`helix_eval_grid`); ``fsum`` gives NaN in the lanes
-    where ``math.fsum`` fails or is not finite.
+    mask (see :func:`helix_eval_grid`); ``inner`` and ``cross`` give NaN in
+    the lanes where ``math.fsum`` fails or is not finite.
     """
 
     def __init__(self, np):
         self.np = np
-        self.fsum = _fsum_array
+        self.inner, self.cross = _frame_products(_fsum_array)
         self.sqrt = np.sqrt
         self.floor = np.floor
 
@@ -282,31 +278,38 @@ def array_ops():
 # --------------------------------------------------------------------------
 
 
-def inner(x, y, ops=_FLOAT_OPS):
-    """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated.
+def _frame_products(fsum):
+    """``inner`` and ``cross`` summed with ``fsum``.
 
-    With :func:`array_ops` as ``ops`` the components are float64 arrays and
-    each lane gets what the float form gives its values, bit for bit.
+    With ``math.fsum`` they take floats. With :func:`_fsum_array` they take
+    float64 arrays, and each lane gets what the float form gives its values,
+    bit for bit.
     """
-    p0, e0 = _two_prod(x[0], y[0])
-    p1, e1 = _two_prod(x[1], y[1])
-    p2, e2 = _two_prod(x[2], y[2])
-    return ops.fsum((p0, e0, -p1, -e1, -p2, -e2))
+
+    def inner(x, y):
+        """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated."""
+        p0, e0 = _two_prod(x[0], y[0])
+        p1, e1 = _two_prod(x[1], y[1])
+        p2, e2 = _two_prod(x[2], y[2])
+        return fsum((p0, e0, -p1, -e1, -p2, -e2))
+
+    def cross(x, y):
+        """Frame cross product x ∧ y, compensated per component."""
+        p, e = _two_prod(x[1], y[2])
+        q, f = _two_prod(x[2], y[1])
+        c1 = fsum((-p, -e, q, f))
+        p, e = _two_prod(x[0], y[2])
+        q, f = _two_prod(x[2], y[0])
+        c2 = fsum((-p, -e, q, f))
+        p, e = _two_prod(x[0], y[1])
+        q, f = _two_prod(x[1], y[0])
+        c3 = fsum((p, e, -q, -f))
+        return (c1, c2, c3)
+
+    return inner, cross
 
 
-def cross(x, y, ops=_FLOAT_OPS):
-    """Frame cross product x ∧ y, compensated per component (over arrays
-    as :func:`inner` is)."""
-    p, e = _two_prod(x[1], y[2])
-    q, f = _two_prod(x[2], y[1])
-    c1 = ops.fsum((-p, -e, q, f))
-    p, e = _two_prod(x[0], y[2])
-    q, f = _two_prod(x[2], y[0])
-    c2 = ops.fsum((-p, -e, q, f))
-    p, e = _two_prod(x[0], y[1])
-    q, f = _two_prod(x[1], y[0])
-    c3 = ops.fsum((p, e, -q, -f))
-    return (c1, c2, c3)
+inner, cross = _frame_products(math.fsum)
 
 
 def _gamma_terms(x, y):

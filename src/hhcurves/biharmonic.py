@@ -29,6 +29,11 @@ from dataclasses import dataclass, field
 
 from hhcurves import frenet as _frenet
 from hhcurves._kernels import pure as _pure
+from hhcurves.curves import (
+    DEFAULT_VERDICT_TOL_ANALYTIC,
+    DEFAULT_VERDICT_TOL_SAMPLED,
+    verdict_tol,
+)
 from hhcurves.errors import InvalidInputError
 from hhcurves.frame import FrameVector
 
@@ -44,9 +49,6 @@ __all__ = [
     "DEFAULT_VERDICT_TOL_ANALYTIC",
     "DEFAULT_VERDICT_TOL_SAMPLED",
 ]
-
-DEFAULT_VERDICT_TOL_ANALYTIC = 1e-8
-DEFAULT_VERDICT_TOL_SAMPLED = 1e-4
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,15 @@ def _enorm(v):
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def bitension_direct(curve, s, geo_tol=None):
+def bitension_direct(curve, s):
     """Bitension field at ``s`` via the covariant jet chain."""
-    tau = _frenet.point_data(curve, s, geo_tol=geo_tol)[1]
+    tau = _frenet.point_data(curve, s)[1]
     return FrameVector(*tau)
 
 
-def bitension_frenet_at(curve, s, geo_tol=None):
+def bitension_frenet_at(curve, s):
     """Bitension field at ``s`` via the Frenet-form coefficients."""
-    tau = _frenet.point_data(curve, s, geo_tol=geo_tol)[2]
+    tau = _frenet.point_data(curve, s)[2]
     return FrameVector(*tau)
 
 
@@ -112,33 +114,31 @@ def route_norms(results):
     return tuple(direct), tuple(fren)
 
 
-def residual_norms(curve, grid, geo_tol=None):
+def residual_norms(curve, grid):
     """Euclidean norms of τ₂ along the grid for both routes."""
-    return route_norms(_frenet.evaluate_grid(curve, tuple(grid), geo_tol))
+    return route_norms(_frenet.evaluate_grid(curve, tuple(grid)))
 
 
-def check_biharmonic_conditions(curve, grid, *, geo_tol=None):
+def check_biharmonic_conditions(curve, grid):
     """Evaluate the biharmonicity conditions on a grid.
 
     Verdicts: ``"Geodesic"`` when the curvature degenerates anywhere on the
     grid; otherwise ``"Biharmonic"`` when k1 and k2 are constant (within
     ``tol·(1 + |mean|)``), ``|N3·B3| <= tol``, and the closure identity holds
     within ``tol``; else ``"NotBiharmonic"``. ``tol`` is
-    :data:`DEFAULT_VERDICT_TOL_ANALYTIC` on a curve with closed-form
-    derivatives and :data:`DEFAULT_VERDICT_TOL_SAMPLED` on one with finite
-    differences; the report records it.
+    :func:`~hhcurves.curves.verdict_tol` of the curve, and the report
+    records it.
     """
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
-    tol = (DEFAULT_VERDICT_TOL_ANALYTIC if curve.analytic
-           else DEFAULT_VERDICT_TOL_SAMPLED)
+    tol = verdict_tol(curve)
 
     rows = []
     res_d = []
     res_f = []
     degenerate = 0
-    for s, res in zip(grid, _frenet.evaluate_grid(curve, grid, geo_tol)):
+    for s, res in zip(grid, _frenet.evaluate_grid(curve, grid)):
         if isinstance(res, Exception):
             degenerate += 1
             # the direct route needs no frame, so it still reports

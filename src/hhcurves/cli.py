@@ -292,7 +292,7 @@ def cmd_frenet(ns):
 
 
 def cmd_verify(ns):
-    config = _verify.VerifyConfig(seed=ns.seed, tol=ns.tol)
+    config = _verify.VerifyConfig(seed=ns.seed)
     if ns.claim is not None:
         check = _verify.verify_claim(ns.claim, config)
         report = _verify.VerificationReport(
@@ -435,10 +435,6 @@ def build_parser():
     p_ver.add_argument(
         "--seed", type=int, default=7,
         help="base seed for the per-check generators (default 7)",
-    )
-    p_ver.add_argument(
-        "--tol", type=float, default=None,
-        help="override the default residual tolerance",
     )
     _add_output_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)

@@ -16,8 +16,12 @@ three parameter derivatives — what the bitension field needs). Curves whose
 tangent has the hyperbolic-helix form carry a :class:`HelixSpec`, which lets
 downstream layers dispatch to the double-double kernel.
 
-Finite differencing uses order-2 central stencils with optional Richardson
+Finite differencing uses order-2 central stencils with Richardson
 extrapolation ``(4·D(h/2) − D(h)) / 3``.
+
+Every threshold that depends on how a curve is backed is chosen here, from
+the curve alone: :func:`unit_speed_tol`, :func:`geodesic_tol` and
+:func:`verdict_tol`.
 """
 
 from __future__ import annotations
@@ -45,19 +49,24 @@ __all__ = [
     "causal_character_of_curve",
     "check_unit_speed",
     "unit_speed_tol",
+    "geodesic_tol",
+    "verdict_tol",
     "vertical_momentum",
 ]
 
 DEFAULT_UNIT_TOL_ANALYTIC = 1e-9
 DEFAULT_UNIT_TOL_FD = 1e-6
+DEFAULT_GEO_TOL_ANALYTIC = 1e-9
+DEFAULT_GEO_TOL_FD = 1e-5
+DEFAULT_VERDICT_TOL_ANALYTIC = 1e-8
+DEFAULT_VERDICT_TOL_SAMPLED = 1e-4
 
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference configuration: base step and Richardson toggle."""
+    """Finite-difference configuration: the base step."""
 
     step: float = 1e-4
-    richardson: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.step, (int, float)) and math.isfinite(self.step)
@@ -141,13 +150,11 @@ def fd_derivative(f, s, order, cfg):
     """Finite-difference derivative of a vector-valued callable.
 
     ``f(s)`` must return a fixed-length sequence of floats; ``order`` is 1–4.
-    With ``cfg.richardson`` the order-2 stencil result is extrapolated from
-    steps h and h/2, giving O(h⁴) accuracy.
+    The order-2 stencil result is extrapolated from steps h and h/2, giving
+    O(h⁴) accuracy.
     """
     if order not in _STENCILS:
         raise InvalidInputError("derivative order must be 1..4, got %r" % (order,))
-    if not cfg.richardson:
-        return _fd_once(f, s, order, cfg.step)
     d1 = _fd_once(f, s, order, cfg.step)
     d2 = _fd_once(f, s, order, cfg.step / 2.0)
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(d1, d2))
@@ -223,7 +230,7 @@ class CoordinateCurve:
         return cls(position, derivative=derivative, fd=fd, helix=helix)
 
     @classmethod
-    def from_samples(cls, s_values, points, richardson=True):
+    def from_samples(cls, s_values, points):
         """Uniform-grid backing from parallel sequences of s and (x, y, z).
 
         Requires strictly increasing, uniformly spaced ``s_values`` (relative
@@ -253,7 +260,7 @@ class CoordinateCurve:
                     "sample parameter must be uniformly spaced "
                     "(spacing %r vs %r at row %d)" % (step, d, i)
                 )
-        sampled = _SampleTable(tuple(s_values), tuple(points), d, richardson)
+        sampled = _SampleTable(tuple(s_values), tuple(points), d)
         return cls(sampled.point, derivative=None, fd=None, samples=sampled)
 
     # -- basic queries -------------------------------------------------------
@@ -298,16 +305,14 @@ class CoordinateCurve:
 class _SampleTable:
     """Uniform-grid samples with stencil derivatives at interior nodes."""
 
-    def __init__(self, s_values, points, spacing, richardson):
+    def __init__(self, s_values, points, spacing):
         self.s_values = s_values
         self.points = points
         self.spacing = spacing
-        self.richardson = richardson
         # fd_derivative on the nodes, run at 0: Richardson's half step is one
         # spacing, so it asks only for 0, ±1, ±2 and ±4 spacings, each an
         # exact product that maps back to its node offset.
-        self._fd = FDConfig(step=2.0 * spacing if richardson else spacing,
-                            richardson=richardson)
+        self._fd = FDConfig(step=2.0 * spacing)
         self._offsets = {k * spacing: k for k in range(-4, 5)}
 
     def _index(self, s):
@@ -326,8 +331,7 @@ class _SampleTable:
 
     def interior_range(self):
         """(lo, hi) inclusive node-index range where all jets are available."""
-        margin = 4 if self.richardson else 2
-        return margin, len(self.s_values) - 1 - margin
+        return 4, len(self.s_values) - 5
 
     def derivative(self, s, order):
         i = self._index(s)
@@ -537,6 +541,20 @@ def unit_speed_tol(curve):
     """How far ``|inner(T, T)|`` may be from 1 on ``curve``: 1e-9 when its
     derivatives are closed forms, 1e-6 when they are finite differences."""
     return DEFAULT_UNIT_TOL_ANALYTIC if curve.analytic else DEFAULT_UNIT_TOL_FD
+
+
+def geodesic_tol(curve):
+    """Largest ``‖∇_T T‖`` at which a point of ``curve`` counts as geodesic
+    (its square bounds a null normal's ``|inner(A, A)|``): 1e-9 when its
+    derivatives are closed forms, 1e-5 when they are finite differences."""
+    return DEFAULT_GEO_TOL_ANALYTIC if curve.analytic else DEFAULT_GEO_TOL_FD
+
+
+def verdict_tol(curve):
+    """Tolerance of the biharmonicity verdict on ``curve``: 1e-8 when its
+    derivatives are closed forms, 1e-4 when they are finite differences."""
+    return (DEFAULT_VERDICT_TOL_ANALYTIC if curve.analytic
+            else DEFAULT_VERDICT_TOL_SAMPLED)
 
 
 def check_unit_speed(curve, grid):

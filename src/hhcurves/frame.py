@@ -136,16 +136,15 @@ def mixed(x, y, z):
     )
 
 
-def causal_character(x, tol=DEFAULT_CAUSAL_TOL):
-    """Classify a vector as spacelike / timelike / null at tolerance ``tol``.
+def causal_character(x):
+    """Classify a vector as spacelike / timelike / null.
 
-    ``inner(x, x) > tol`` is spacelike, ``< -tol`` timelike, otherwise null.
+    With ``tol = DEFAULT_CAUSAL_TOL``: ``inner(x, x) > tol`` is spacelike,
+    ``< -tol`` timelike, otherwise null.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
-        raise InvalidInputError("tol must be a finite non-negative real, got %r" % (tol,))
     g = inner(x, x)
-    if g > tol:
+    if g > DEFAULT_CAUSAL_TOL:
         return CausalCharacter.SPACELIKE
-    if g < -tol:
+    if g < -DEFAULT_CAUSAL_TOL:
         return CausalCharacter.TIMELIKE
     return CausalCharacter.NULL

@@ -8,8 +8,9 @@ and the causal signs (eps1, eps2, eps3) at a point:
 * ``eps1 = sign(inner(T, T))``, ``eps3 = sign(inner(B, B))``; the product
   eps1·eps2·eps3 is +1 for every non-degenerate frame.
 
-Degeneracies raise: :class:`GeodesicDegenerateError` when ``‖∇_T T‖ <= tol``
-and :class:`NullNormalDegenerateError` when the acceleration is non-zero but
+Degeneracies raise: :class:`GeodesicDegenerateError` when ``‖∇_T T‖`` is at
+most :func:`~hhcurves.curves.geodesic_tol` of the curve, and
+:class:`NullNormalDegenerateError` when the acceleration is non-zero but
 null; over many points, ``evaluate_points`` yields them instead. Unit speed is
 checked, never silently enforced: ``project_unit_jets`` in the kernels raises
 beyond :func:`~hhcurves.curves.unit_speed_tol` of the curve.
@@ -24,7 +25,12 @@ import math
 from dataclasses import dataclass
 
 from hhcurves import _kernels
-from hhcurves.curves import unit_speed_tol
+from hhcurves.curves import (
+    DEFAULT_GEO_TOL_ANALYTIC,
+    DEFAULT_GEO_TOL_FD,
+    geodesic_tol,
+    unit_speed_tol,
+)
 from hhcurves.errors import (
     GeodesicDegenerateError,
     HHCurvesError,
@@ -53,9 +59,6 @@ __all__ = [
     "DEFAULT_GEO_TOL_ANALYTIC",
     "DEFAULT_GEO_TOL_FD",
 ]
-
-DEFAULT_GEO_TOL_ANALYTIC = 1e-9
-DEFAULT_GEO_TOL_FD = 1e-5
 
 
 @dataclass(frozen=True)
@@ -133,17 +136,10 @@ class FrenetGridSummary:
     b3_max_dev: float
 
 
-def _geo_tol(curve, geo_tol):
-    """``geo_tol``, or when it is None the default for the curve's backing."""
-    if geo_tol is not None:
-        return geo_tol
-    return DEFAULT_GEO_TOL_ANALYTIC if curve.analytic else DEFAULT_GEO_TOL_FD
-
-
-def _evaluate(curve, s, geo_tol, jets_kernel):
+def _evaluate(curve, s, jets_kernel):
     """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
     curves, else ``jets_kernel`` of the projected tangent jets."""
-    geo_tol = _geo_tol(curve, geo_tol)
+    geo_tol = geodesic_tol(curve)
     hx = getattr(curve, "helix", None)
     if hx is not None:
         return _kernels.helix_eval(
@@ -167,7 +163,7 @@ def _frame_jets(jets, geo_tol):
     return (_kernels.frenet_jets(jets, geo_tol),)
 
 
-def point_data(curve, s, geo_tol=None):
+def point_data(curve, s):
     """Raw kernel evaluation at one point.
 
     Returns ``(fr, tau_direct, tau_frenet)`` where ``fr`` is the kernel's flat
@@ -175,7 +171,7 @@ def point_data(curve, s, geo_tol=None):
     others go through jet projection plus the compensated double pipeline.
     Raises the degeneracy errors and :class:`UnitSpeedError` as appropriate.
     """
-    return _evaluate(curve, s, geo_tol, _kernels.point_eval)
+    return _evaluate(curve, s, _kernels.point_eval)
 
 
 # Fewest helix points, counted over all the curves of one call, for which
@@ -192,7 +188,7 @@ def point_data(curve, s, geo_tol=None):
 _GRID_MIN_POINTS = 14
 
 
-def evaluate_points(pairs, geo_tol=None, *, frames=False):
+def evaluate_points(pairs, *, frames=False):
     """Evaluate each ``(curve, s)`` pair, lazily and in input order.
 
     Yields :func:`point_data`'s ``(fr, tau_direct, tau_frenet)``, or with
@@ -200,9 +196,10 @@ def evaluate_points(pairs, geo_tol=None, *, frames=False):
     pair; a point whose frame degenerates yields its degeneracy error
     instead, and every other error raises. When the pairs hold 14 helix
     points or more, those of every curve take one grid-kernel pass, each
-    with its curve's ``geo_tol``; the other points, and those that pass
-    hands back (possibly degenerate, out of ``exp`` range, or not finite),
-    go through :func:`point_data` or :func:`compute_frenet`.
+    with its curve's :func:`~hhcurves.curves.geodesic_tol`; the other
+    points, and those that pass hands back (possibly degenerate, out of
+    ``exp`` range, or not finite), go through :func:`point_data` or
+    :func:`compute_frenet`.
     """
     pairs = list(pairs)
     batch = [None] * len(pairs)
@@ -214,15 +211,14 @@ def evaluate_points(pairs, geo_tol=None, *, frames=False):
         results = _kernels.helix_eval_grid(
             *zip(*params),
             [float(pairs[i][1]) for i in on_helix],
-            [_geo_tol(pairs[i][0], geo_tol) for i in on_helix],
+            [geodesic_tol(pairs[i][0]) for i in on_helix],
         )
         for i, res in zip(on_helix, results):
             batch[i] = res
     for (curve, s), res in zip(pairs, batch):
         if res is None:
             try:
-                res = (compute_frenet if frames else point_data)(
-                    curve, s, geo_tol=geo_tol)
+                res = (compute_frenet if frames else point_data)(curve, s)
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 res = exc
         elif frames:
@@ -230,9 +226,9 @@ def evaluate_points(pairs, geo_tol=None, *, frames=False):
         yield res
 
 
-def evaluate_grid(curve, grid, geo_tol=None, *, frames=False):
+def evaluate_grid(curve, grid, *, frames=False):
     """:func:`evaluate_points` at every point of one curve's grid."""
-    return evaluate_points([(curve, s) for s in grid], geo_tol, frames=frames)
+    return evaluate_points([(curve, s) for s in grid], frames=frames)
 
 
 def direct_tau(curve, s):
@@ -260,9 +256,9 @@ def frenet_from_flat(fr):
     )
 
 
-def compute_frenet(curve, s, geo_tol=None):
+def compute_frenet(curve, s):
     """Frenet data of the curve at parameter value ``s``."""
-    fr = _evaluate(curve, s, geo_tol, _frame_jets)[0]
+    fr = _evaluate(curve, s, _frame_jets)[0]
     return frenet_from_flat(fr)
 
 
@@ -278,9 +274,9 @@ def extended_from_flat(fr):
     )
 
 
-def extended_frenet(curve, s, geo_tol=None):
+def extended_frenet(curve, s):
     """Frenet data plus curvature derivatives and ∇_T N, ∇_T B."""
-    fr = point_data(curve, s, geo_tol=geo_tol)[0]
+    fr = point_data(curve, s)[0]
     return extended_from_flat(fr)
 
 
@@ -313,13 +309,13 @@ def summarize_frames(grid, data):
     return FrenetGridSummary(grid=tuple(grid), data=tuple(data), **stats)
 
 
-def frenet_over_grid(curve, grid, geo_tol=None):
+def frenet_over_grid(curve, grid):
     """Frenet data at every grid point plus deviation-from-mean statistics."""
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
     data = []
-    for d in evaluate_grid(curve, grid, geo_tol, frames=True):
+    for d in evaluate_grid(curve, grid, frames=True):
         if isinstance(d, Exception):
             raise d
         data.append(d)

@@ -65,22 +65,14 @@ STATUS_ERROR = "Error"
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Verification options: RNG seed and an optional tolerance override."""
+    """Verification options: the RNG seed."""
 
     seed: int = 7
-    tol: float = None
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidInputError(
                 "seed must be a non-negative integer, got %r" % (self.seed,)
-            )
-        if self.tol is not None and not (
-            isinstance(self.tol, (int, float)) and math.isfinite(self.tol)
-            and self.tol > 0
-        ):
-            raise InvalidInputError(
-                "tol must be a finite positive real, got %r" % (self.tol,)
             )
 
 
@@ -129,10 +121,6 @@ class VerificationReport:
         )
 
 
-def _tol(cfg, default):
-    return default if cfg.tol is None else cfg.tol
-
-
 def _status(ok, erratum=False):
     """``Refuted-as-printed`` unless ``ok``; then ``ConfirmedWithErratum``
     when the check also showed a printed statement wrong, else
@@ -169,11 +157,12 @@ def _evaluated(pairs, frames=False):
 
 
 # ---------------------------------------------------------------------------
-# Individual checks. Each returns (status, max_residual, details).
+# Individual checks. Each takes its generator and returns (status,
+# max_residual, details).
 # ---------------------------------------------------------------------------
 
 
-def _check_metric_signature(cfg, rng):
+def _check_metric_signature(rng):
     table = _connection.CONNECTION
     good = _connection.metric_compatibility_defect(table, metric=(1, -1, -1))
     tors = _connection.torsion_defect(table)
@@ -189,7 +178,7 @@ def _check_metric_signature(cfg, rng):
     return status, float(good), details
 
 
-def _check_connection_table(cfg, rng):
+def _check_connection_table(rng):
     table = _connection.CONNECTION
     derived = _connection.connection_from_brackets()
     exact = derived.coeffs == table.coeffs
@@ -216,7 +205,7 @@ def _check_connection_table(cfg, rng):
     return status, 0.0 if ok else 1.0, details
 
 
-def _check_curvature_table(cfg, rng):
+def _check_curvature_table(rng):
     table = _connection.CURVATURE
     brute = _connection.curvature_from_connection()
     exact = brute.coeffs == table.coeffs
@@ -245,17 +234,12 @@ def _check_curvature_table(cfg, rng):
     return status, 0.0 if ok else 1.0, details
 
 
-def _check_cross_properties(cfg, rng):
+def _check_cross_properties(rng):
     import numpy as np
 
-    tol = _tol(cfg, 1e-12)
+    tol = 1e-12
     ops = _kernels.array_ops()
-
-    def inner(x, y):
-        return _kernels.inner(x, y, ops)
-
-    def cross(x, y):
-        return _kernels.cross(x, y, ops)
+    inner, cross = ops.inner, ops.cross
 
     # One lane per triple. The 11 draws of a row are those a loop over the
     # triples would take in turn: x, y, z, then a and b.
@@ -374,8 +358,8 @@ def _route_gap(tau_d, tau_f):
     return _vdiff(tuple(td), tuple(tf))
 
 
-def _check_bitension_conditions(cfg, rng):
-    tol = _tol(cfg, 1e-9)
+def _check_bitension_conditions(rng):
+    tol = 1e-9
     samples = [
         (_families.make_spacelike_horizontal(branch=1), (-0.8, 0.0, 0.6)),
         (_families.make_spacelike_biharmonic(0.5, branch=-1, phase=0.3),
@@ -503,12 +487,12 @@ def _family_sweep(rng, shapes, maker, kind, eps_want):
     return worst, const_dev, printed_min, rows, [c[2] for c in cases]
 
 
-def _check_spacelike_family(cfg, rng):
+def _check_spacelike_family(rng):
     worst, const_dev, printed_min, rows, _ = _family_sweep(
         rng, (0.0, 0.5, -0.5, 1.0, -1.0),
         _families.make_spacelike_biharmonic, "spacelike", (1.0, -1.0, -1.0),
     )
-    tol = _tol(cfg, 1e-9)
+    tol = 1e-9
     confirmed = max(worst, const_dev)
     status = _status(confirmed <= tol, erratum=printed_min > 100.0 * tol)
     details = (
@@ -520,12 +504,12 @@ def _check_spacelike_family(cfg, rng):
     return status, confirmed, details
 
 
-def _check_timelike_family(cfg, rng):
+def _check_timelike_family(rng):
     worst, const_dev, printed_min, rows, _ = _family_sweep(
         rng, (0.5, -0.5, 1.0, -1.0),
         _families.make_timelike_biharmonic, "timelike", (-1.0, -1.0, 1.0),
     )
-    tol = _tol(cfg, 1e-9)
+    tol = 1e-9
     confirmed = max(worst, const_dev)
     status = _status(confirmed <= tol, erratum=printed_min > 100.0 * tol)
     details = (
@@ -561,8 +545,8 @@ def _seeded_b3zero_curves(rng, count):
 _B3ZERO_POINTS = (0.15, 0.35, 0.55, 0.75, 0.9)
 
 
-def _check_b3zero_signs(cfg, rng):
-    tol = _tol(cfg, 1e-9)
+def _check_b3zero_signs(rng):
+    tol = 1e-9
     worst = 0.0
     signs_ok = True
     n = 0
@@ -583,8 +567,8 @@ def _check_b3zero_signs(cfg, rng):
     return status, worst, details
 
 
-def _check_b3zero_k2(cfg, rng):
-    tol = _tol(cfg, 1e-6)
+def _check_b3zero_k2(rng):
+    tol = 1e-6
     worst = 0.0
     verdicts_ok = True
     min_res = math.inf
@@ -608,8 +592,8 @@ def _check_b3zero_k2(cfg, rng):
     return status, worst, details
 
 
-def _check_helix_lemma(cfg, rng):
-    tol = _tol(cfg, 1e-9)
+def _check_helix_lemma(rng):
+    tol = 1e-9
     lemma = []
     for _ in range(35):
         kind = "spacelike" if rng.uniform() < 0.5 else "timelike"
@@ -688,10 +672,10 @@ def _check_helix_lemma(cfg, rng):
     return status, worst, details
 
 
-def _check_horizontal_family(cfg, rng):
+def _check_horizontal_family(rng):
     # the spacelike sweep at shape 0, where the lemma gives k1 = 2, k2 = -1
     # and |B3| = 1 exactly
-    tol = _tol(cfg, 1e-9)
+    tol = 1e-9
     worst, const_dev, _, _, curves = _family_sweep(
         rng, (0.0,),
         lambda _, **kwargs: _families.make_spacelike_horizontal(**kwargs),
@@ -711,8 +695,8 @@ def _check_horizontal_family(cfg, rng):
     return status, confirmed, details
 
 
-def _check_horizontal_slope_printed(cfg, rng):
-    tol = _tol(cfg, 1e-9)
+def _check_horizontal_slope_printed(rng):
+    tol = 1e-9
     grid = _FAMILY_GRID
     curves = [_families.make_spacelike_horizontal(branch=branch,
                                                   as_printed=True)
@@ -739,8 +723,8 @@ def _check_horizontal_slope_printed(cfg, rng):
     return status, res_s0, details
 
 
-def _check_timelike_horizontal_nonexistence(cfg, rng):
-    tol = _tol(cfg, 1e-9)
+def _check_timelike_horizontal_nonexistence(rng):
+    tol = 1e-9
     # the 30 points of numpy.linspace(0.1, 3.0, 30), bit for bit
     m_grid = [0.1 + i * ((3.0 - 0.1) / 29) for i in range(29)] + [3.0]
     s_pts = (-0.5, 0.0, 0.7)
@@ -779,79 +763,66 @@ def _check_timelike_horizontal_nonexistence(cfg, rng):
 # Registry
 # ---------------------------------------------------------------------------
 
+# (claim id, anchor, check, expected status)
 _REGISTRY = (
     ("metric-signature",
      "sec 2.2: left-invariant metric signature vs connection compatibility",
-     _check_metric_signature),
+     _check_metric_signature, STATUS_CONFIRMED_WITH_ERRATUM),
     ("connection-table",
      "sec 2.2: covariant-derivative table of the connection",
-     _check_connection_table),
+     _check_connection_table, STATUS_CONFIRMED),
     ("curvature-table",
      "sec 2.2: nonzero curvature tensor components",
-     _check_curvature_table),
+     _check_curvature_table, STATUS_CONFIRMED),
     ("cross-properties",
      "sec 2.2: cross-product properties (i)-(vi)",
-     _check_cross_properties),
+     _check_cross_properties, STATUS_CONFIRMED),
     ("bitension-conditions",
      "sec 3: biharmonicity conditions and bitension coefficients",
-     _check_bitension_conditions),
+     _check_bitension_conditions, STATUS_CONFIRMED_WITH_ERRATUM),
     ("spacelike-family",
      "sec 4: spacelike family parametric equations and slope",
-     _check_spacelike_family),
+     _check_spacelike_family, STATUS_CONFIRMED_WITH_ERRATUM),
     ("timelike-family",
      "sec 4: timelike family parametric equations and slope",
-     _check_timelike_family),
+     _check_timelike_family, STATUS_CONFIRMED_WITH_ERRATUM),
     ("b3zero-signs",
      "sec 4: vanishing-B3 sign proposition",
-     _check_b3zero_signs),
+     _check_b3zero_signs, STATUS_CONFIRMED),
     ("b3zero-k2",
      "sec 4: vanishing-B3 torsion-square and non-biharmonicity",
-     _check_b3zero_k2),
+     _check_b3zero_k2, STATUS_CONFIRMED),
     ("helix-lemma",
      "sec 4: constant-T3 tangent lemma and vanishing-N3 sign corollary",
-     _check_helix_lemma),
+     _check_helix_lemma, STATUS_CONFIRMED),
     ("horizontal-family",
      "sec 5: horizontal family parametric equations (corrected slope)",
-     _check_horizontal_family),
+     _check_horizontal_family, STATUS_CONFIRMED),
     ("horizontal-slope-printed",
      "sec 5: horizontal family slope constant as printed",
-     _check_horizontal_slope_printed),
+     _check_horizontal_slope_printed, STATUS_REFUTED_AS_PRINTED),
     ("timelike-horizontal-nonexistence",
      "sec 5: timelike horizontal nonexistence",
-     _check_timelike_horizontal_nonexistence),
+     _check_timelike_horizontal_nonexistence, STATUS_CONFIRMED),
 )
 
-EXPECTED_STATUS = {
-    "metric-signature": STATUS_CONFIRMED_WITH_ERRATUM,
-    "connection-table": STATUS_CONFIRMED,
-    "curvature-table": STATUS_CONFIRMED,
-    "cross-properties": STATUS_CONFIRMED,
-    "bitension-conditions": STATUS_CONFIRMED_WITH_ERRATUM,
-    "spacelike-family": STATUS_CONFIRMED_WITH_ERRATUM,
-    "timelike-family": STATUS_CONFIRMED_WITH_ERRATUM,
-    "b3zero-signs": STATUS_CONFIRMED,
-    "b3zero-k2": STATUS_CONFIRMED,
-    "helix-lemma": STATUS_CONFIRMED,
-    "horizontal-family": STATUS_CONFIRMED,
-    "horizontal-slope-printed": STATUS_REFUTED_AS_PRINTED,
-    "timelike-horizontal-nonexistence": STATUS_CONFIRMED,
-}
+EXPECTED_STATUS = {cid: want for cid, _, _, want in _REGISTRY}
 
-_CLAIM_INDEX = {cid: i for i, (cid, _, _) in enumerate(_REGISTRY)}
+_CLAIM_INDEX = {cid: i for i, (cid, *_) in enumerate(_REGISTRY)}
 
 
 def registry_ids():
     """Claim identifiers in registry order."""
-    return tuple(cid for cid, _, _ in _REGISTRY)
+    return tuple(cid for cid, *_ in _REGISTRY)
 
 
 def _run_one(index, cfg):
     import numpy as np  # imported on first use: the CLI starts without it
 
-    claim_id, anchor, fn = _REGISTRY[index]
+    claim_id, anchor, fn, _ = _REGISTRY[index]
     rng = np.random.default_rng([cfg.seed, index])
     try:
-        status, residual, details = fn(cfg, rng)
+        status, residual, details = fn(rng)
     except Exception as exc:  # failures become report rows, not exceptions
         status = STATUS_ERROR
         residual = math.inf

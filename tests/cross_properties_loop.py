@@ -14,8 +14,8 @@ def _vmax(u):
     return max(abs(u[i]) for i in range(3))
 
 
-def check_cross_properties(cfg, rng):
-    tol = verify._tol(cfg, 1e-12)
+def check_cross_properties(rng):
+    tol = 1e-12
     inner, cross, mixed = frame.inner, frame.cross, frame.mixed
     vdiff, vmax, det3 = verify._vdiff, _vmax, verify._det3
     worst = 0.0

@@ -360,7 +360,7 @@ def test_criterion_7_route_cross_validation():
             worst = max(worst, max(abs(tau_d[i] - tau_f[i]) for i in range(3)))
     assert worst <= 1e-9, "analytic route disagreement %.3e > 1e-9" % worst
 
-    fd = FDConfig(step=1e-4, richardson=True)
+    fd = FDConfig(step=1e-4)
     fd_curves = [
         CoordinateCurve.from_functions(make_spacelike_horizontal().point, fd=fd),
         CoordinateCurve.from_functions(make_spacelike_biharmonic(0.5).point, fd=fd),
@@ -463,7 +463,7 @@ def test_criterion_11_sign_triple_invariant():
     finite-difference-backed curves, so all evaluation paths (closed-form
     helix kernel, analytic jet chain, FD jet chain) are covered.
     """
-    fd = FDConfig(step=1e-4, richardson=True)
+    fd = FDConfig(step=1e-4)
     pairs = _analytic_corpus()
     extra_s = (-1.0, -0.3, 0.0, 0.4, 1.0)
     pairs += [(c, extra_s) for c in _seeded_helices(np.random.default_rng(11), 40)]

@@ -200,8 +200,8 @@ class TestClosureIdentity:
 
 class TestVerdicts:
     def test_tolerance_is_not_positional(self):
-        # the verdict tolerance follows the curve; a positional third
-        # argument must not land on geo_tol
+        # the verdict tolerance follows the curve, and there is no third
+        # argument for it to land on
         with pytest.raises(TypeError):
             check_biharmonic_conditions(make_spacelike_biharmonic(0.5), GRID,
                                         1e-6)

@@ -505,10 +505,12 @@ class TestVerify:
         assert err.startswith("error:")
         assert "metric-signature" in err  # the error lists the known ids
 
-    def test_absurd_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(["verify", "--tol", "1e-30"], capsys)
-        assert code == 1
-        assert json.loads(out)["checks"]  # the report is still written
+    def test_tol_flag_rejected(self, capsys):
+        # there is no --tol flag: each check keeps its own tolerance
+        code, out, err = run_cli(["verify", "--tol", "1e-3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments")
 
     def test_custom_seed_passes(self, capsys):
         code, _, _ = run_cli(["verify", "--seed", "123"], capsys)

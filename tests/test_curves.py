@@ -67,19 +67,13 @@ class TestFiniteDifferences:
                     abs(a - b) for a, b in zip(got, want)
                 ) <= tol, (s, order)
 
-    def test_richardson_beats_single_step(self):
-        plain = FDConfig(step=1e-3, richardson=False)
-        extrapolated = FDConfig(step=1e-3, richardson=True)
-        s = 0.4
-        err_plain = abs(
-            fd_derivative(_smooth, s, 1, plain)[0]
-            - _smooth_derivative(s, 1)[0]
-        )
-        err_rich = abs(
-            fd_derivative(_smooth, s, 1, extrapolated)[0]
-            - _smooth_derivative(s, 1)[0]
-        )
-        assert err_rich < err_plain
+    def test_richardson_keyword_is_gone(self):
+        # Richardson extrapolation is always on
+        with pytest.raises(TypeError):
+            FDConfig(step=1e-3, richardson=False)
+        with pytest.raises(TypeError):
+            CoordinateCurve.from_samples([0.0, 1.0], [(0.0, 0.0, 0.0)] * 2,
+                                         richardson=False)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -141,12 +135,11 @@ class TestSampledCurves:
             # Richardson stencil truncation at spacing 0.05 is ~|f⁽⁵⁾|·h⁴/30.
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-6
 
-    @pytest.mark.parametrize("richardson", [True, False])
-    def test_derivatives_are_fd_on_the_nodes(self, richardson):
+    def test_derivatives_are_fd_on_the_nodes(self):
         s_values, points = self._samples()
         d = s_values[1] - s_values[0]
-        curve = CoordinateCurve.from_samples(s_values, points, richardson)
-        cfg = FDConfig(step=2.0 * d if richardson else d, richardson=richardson)
+        curve = CoordinateCurve.from_samples(s_values, points)
+        cfg = FDConfig(step=2.0 * d)
 
         def node(t):
             return points[round((t - s_values[0]) / d)]

@@ -156,6 +156,12 @@ class TestCausalCharacter:
         assert causal_character((1.0, 0.6, 0.8)) is CausalCharacter.NULL
 
     def test_tolerance_band(self):
-        assert causal_character((1.0, 0.0, 0.0), tol=2.0) is CausalCharacter.NULL
-        with pytest.raises(InvalidInputError):
-            causal_character(E1, tol=-1.0)
+        # |inner(x, x)| <= DEFAULT_CAUSAL_TOL = 1e-9 is null
+        assert causal_character((3e-5, 0.0, 0.0)) is CausalCharacter.NULL
+        assert causal_character((0.0, 3e-5, 0.0)) is CausalCharacter.NULL
+        assert causal_character((4e-5, 0.0, 0.0)) is CausalCharacter.SPACELIKE
+        assert causal_character((0.0, 0.0, 4e-5)) is CausalCharacter.TIMELIKE
+
+    def test_tol_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            causal_character((1.0, 0.0, 0.0), tol=2.0)

@@ -22,6 +22,7 @@ from hhcurves import (
     make_spacelike_horizontal,
     make_timelike_biharmonic,
 )
+from hhcurves import biharmonic
 from hhcurves import frenet as frenet_module
 
 GRID = tuple(-1.0 + 0.2 * i for i in range(11))
@@ -175,10 +176,28 @@ class TestDegeneracies:
         with pytest.raises(UnitSpeedError):
             compute_frenet(bad, 0.0)
 
-    def test_geo_tol_validation_flows_through(self):
+    def test_geo_tol_keyword_is_gone(self):
+        # the geodesic threshold follows the curve's backing alone
         curve = make_spacelike_horizontal()
-        data = compute_frenet(curve, 0.0, geo_tol=1e-3)
-        assert data.k1 == pytest.approx(2.0, abs=1e-12)
+        grid = [0.0, 0.5]
+        calls = [
+            lambda: frenet_module.point_data(curve, 0.0, geo_tol=1e-3),
+            lambda: list(frenet_module.evaluate_points([(curve, 0.0)],
+                                                       geo_tol=1e-3)),
+            lambda: list(frenet_module.evaluate_grid(curve, grid,
+                                                     geo_tol=1e-3)),
+            lambda: compute_frenet(curve, 0.0, geo_tol=1e-3),
+            lambda: extended_frenet(curve, 0.0, geo_tol=1e-3),
+            lambda: frenet_over_grid(curve, grid, geo_tol=1e-3),
+            lambda: biharmonic.bitension_direct(curve, 0.0, geo_tol=1e-3),
+            lambda: biharmonic.bitension_frenet_at(curve, 0.0, geo_tol=1e-3),
+            lambda: biharmonic.residual_norms(curve, grid, geo_tol=1e-3),
+            lambda: biharmonic.check_biharmonic_conditions(curve, grid,
+                                                           geo_tol=1e-3),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestValidate:

@@ -184,9 +184,9 @@ def test_array_frame_algebra_equals_the_scalar_kernels(triples):
     x, y, z = (tuple(np.array([t[k][i] for t in triples]) for i in range(3))
                for k in range(3))
     with np.errstate(over="ignore", invalid="ignore"):  # edge products
-        got_inner = pure.inner(x, y, ops).tolist()
-        got_cross = np.array(pure.cross(x, y, ops)).T.tolist()
-        got_mixed = pure.inner(pure.cross(x, y, ops), z, ops).tolist()
+        got_inner = ops.inner(x, y).tolist()
+        got_cross = np.array(ops.cross(x, y)).T.tolist()
+        got_mixed = ops.inner(ops.cross(x, y), z).tolist()
     for lane, (u, v, w) in enumerate(triples):
         assert _same(got_inner[lane], _finite_or_nan(_scalar(pure.inner, u, v)))
         cross = _scalar(pure.cross, u, v)

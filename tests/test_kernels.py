@@ -173,9 +173,9 @@ def _helix_args(spec):
             spec.phase)
 
 
-def _scalar_or_exception(args, s, geo_tol):
+def _scalar_or_exception(args, s, tol):
     try:
-        return pure.helix_eval(*args, s, geo_tol)
+        return pure.helix_eval(*args, s, tol)
     except Exception as exc:
         return exc
 
@@ -202,11 +202,11 @@ _POINT = st.tuples(
 )
 
 
-def _per_point_call(points, geo_tols):
+def _per_point_call(points, tols):
     """``helix_eval_grid`` with one ``(form, amp, tilt, slope_hi, slope_lo,
-    phase, s)`` tuple per point, and one geo_tol each."""
+    phase, s)`` tuple per point, and one geodesic threshold each."""
     columns = [list(c) for c in zip(*points)]
-    return pure.helix_eval_grid(*columns[:6], columns[6], geo_tols)
+    return pure.helix_eval_grid(*columns[:6], columns[6], tols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,11 +259,11 @@ def test_per_point_grid_matches_or_hands_back_each_point():
         (0, 1.0, 0.5, 1.0, 0.0, 0.0, math.nan),
         (1, 1.5, 0.0, 0.9, 0.0, 0.0, -6.0),
     ]
-    geo_tols = [1e-9, 1e-9, 1e-3, 1e-9, 1e-6, 1e-9, 1e-9]
-    got = _per_point_call(points, geo_tols)
+    tols = [1e-9, 1e-9, 1e-3, 1e-9, 1e-6, 1e-9, 1e-9]
+    got = _per_point_call(points, tols)
     assert [p is None for p in got] == [False, True, False, True, False,
                                         True, False]
-    for pt, tol, point in zip(points, geo_tols, got):
+    for pt, tol, point in zip(points, tols, got):
         want = _scalar_or_exception(pt[:6], pt[6], tol)
         if point is None:
             assert isinstance(want, Exception) or not _finite(want), pt
@@ -344,16 +344,20 @@ def _geodesic_helix():
     return families.make_helix("spacelike", tilt, 2.0 * math.sinh(tilt))
 
 
-def _null_normal_helix_and_tol():
-    """A helix with a geo_tol at which points near u = 0 are geodesic and
-    the others have a null normal.
+def _null_normal_helix():
+    """A near-geodesic helix whose points near u = 0 are geodesic and the
+    others have a null normal, at the default thresholds.
 
-    Along a helix ‖∇_T T‖ = k1·√cosh 2u while |inner(A, A)| = k1², so with
-    geo_tol = 1.5·k1 the geodesic test fails once cosh 2u > 2.25.
+    Its slope, a double-double pair, exceeds 2·T3 by 5e-10/cosh 0.6, so
+    k1 = 5e-10. Along a helix ‖∇_T T‖ = k1·√cosh 2u while |inner(A, A)| =
+    k1² = 2.5e-19, under the null threshold 1e-18; so the geodesic test
+    (1e-9) fails once cosh 2u > 4, for |s| beyond about 0.8.
     """
-    curve = families.make_spacelike_biharmonic(0.5)
-    k1 = frenet.compute_frenet(curve, 0.0).k1
-    return curve, 1.5 * k1
+    tilt = 0.6
+    twice_t3, excess = 2.0 * math.sinh(tilt), 5e-10 / math.cosh(tilt)
+    hi = twice_t3 + excess
+    lo = excess - (hi - twice_t3)  # exact: hi + lo = 2·T3 + excess
+    return families.make_helix("spacelike", tilt, (hi, lo))
 
 
 # Long enough for the grid kernel; 1.5 has a null normal, 0.0 is geodesic.
@@ -363,28 +367,38 @@ _NULL_GRID = [1.5, 1.2, 0.9, 0.6, 0.3, 0.0, -0.3, -0.6, -0.9, -1.2, -1.5,
 
 def test_degenerate_grids_raise_what_the_point_route_raises():
     geo = _geodesic_helix()
-    null, tol = _null_normal_helix_and_tol()
+    null = _null_normal_helix()
     null_grid = _NULL_GRID
     with pytest.raises(NullNormalDegenerateError):
-        frenet.point_data(null, 1.5, geo_tol=tol)
+        frenet.point_data(null, 1.5)
     with pytest.raises(GeodesicDegenerateError):
-        frenet.point_data(null, 0.0, geo_tol=tol)
+        frenet.point_data(null, 0.0)
     for fn in (biharmonic.residual_norms, frenet.frenet_over_grid):
         assert _same_outcome(fn, geo, _VERIFY_GRID)[0] == "raised"
-        assert _same_outcome(fn, null, null_grid, geo_tol=tol)[0] == "raised"
-        assert _same_outcome(fn, null, null_grid[::-1], geo_tol=tol)[0] == "raised"
+        assert _same_outcome(fn, null, null_grid)[0] == "raised"
+        assert _same_outcome(fn, null, null_grid[::-1])[0] == "raised"
+
+
+def test_near_geodesic_helix_degenerates_both_ways_on_both_routes():
+    # 16 points on [-2, 2]: geodesic for |s| < 0.8, a null normal beyond
+    null = _null_normal_helix()
+    grid = [-2.0 + 4.0 * i / 15 for i in range(16)]
+    assert len(grid) >= frenet._GRID_MIN_POINTS
+    want = [GeodesicDegenerateError if abs(s) < 0.8
+            else NullNormalDegenerateError for s in grid]
+    assert [type(r) for r in frenet.evaluate_grid(null, grid)] == want
+    with _per_point_route():
+        assert [type(r) for r in frenet.evaluate_grid(null, grid)] == want
 
 
 def test_degenerate_grids_give_the_same_geodesic_report():
-    null, tol = _null_normal_helix_and_tol()
-    for curve, grid, geo_tol in (
-        (_geodesic_helix(), _VERIFY_GRID, None),
-        (null, _NULL_GRID, tol),
+    for curve, grid in (
+        (_geodesic_helix(), _VERIFY_GRID),
+        (_null_normal_helix(), _NULL_GRID),
     ):
         assert _same_outcome(biharmonic.check_biharmonic_conditions,
-                             curve, grid, geo_tol=geo_tol)[0] == "ok"
-        report = biharmonic.check_biharmonic_conditions(curve, grid,
-                                                        geo_tol=geo_tol)
+                             curve, grid)[0] == "ok"
+        report = biharmonic.check_biharmonic_conditions(curve, grid)
         assert report.verdict == "Geodesic"
         assert report.condition_values == {"degenerate_points": float(len(grid))}
 
@@ -437,9 +451,9 @@ def _routes(monkeypatch):
         calls["grid"].append(list(args[6]))
         return grid_kernel(*args)
 
-    def point_data(curve, s, **kwargs):
+    def point_data(curve, s):
         calls["point"].append(s)
-        return point(curve, s, **kwargs)
+        return point(curve, s)
 
     monkeypatch.setattr(kernels, "helix_eval_grid", helix_eval_grid)
     monkeypatch.setattr(frenet, "point_data", point_data)
@@ -479,12 +493,11 @@ def test_evaluate_grid_uses_the_grid_kernel_from_the_crossover(monkeypatch):
 
 
 def test_evaluate_grid_yields_the_degeneracy_of_each_point():
-    null, tol = _null_normal_helix_and_tol()
+    null = _null_normal_helix()
 
     def outcomes(frames):
         out = []
-        for res in frenet.evaluate_grid(null, _NULL_GRID, geo_tol=tol,
-                                        frames=frames):
+        for res in frenet.evaluate_grid(null, _NULL_GRID, frames=frames):
             out.append((type(res), str(res)) if isinstance(res, Exception)
                        else res)
         return out
@@ -494,7 +507,7 @@ def test_evaluate_grid_yields_the_degeneracy_of_each_point():
         want = []
         for s in _NULL_GRID:
             try:
-                want.append(point(null, s, geo_tol=tol))
+                want.append(point(null, s))
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 want.append((type(exc), str(exc)))
         got = outcomes(frames)
@@ -507,12 +520,12 @@ def test_evaluate_grid_yields_the_degeneracy_of_each_point():
 
 def _mixed_pairs():
     """Points of a form-0 and a form-1 helix, a b3zero curve, an FD frame
-    curve and the null-normal helix, interleaved, with that helix's geo_tol.
+    curve and the null-normal helix, interleaved.
 
-    At that tolerance every null-normal helix point and every b3zero point
-    degenerates, and the other curves (k1 above 7) do not.
+    Every null-normal helix point degenerates, and the other curves' points
+    do not.
     """
-    null, tol = _null_normal_helix_and_tol()
+    null = _null_normal_helix()
     form0 = families.make_helix("spacelike", 0.4, -6.0, 0.3)
     form1 = families.make_helix("timelike-flat", 0.3, 8.0)
     b3zero = families.make_b3zero_linear("spacelike", 0.4, 0.6, (0.0, 1.0))
@@ -522,22 +535,21 @@ def _mixed_pairs():
         pairs.append((null, s))
         other = (form0, form1, b3zero, fd)[i % 4]
         pairs.append((other, 0.1 * (i - 5)))
-    return pairs, tol, (form0, form1)
+    return pairs, (form0, form1)
 
 
 def test_evaluate_points_matches_each_point_in_input_order():
-    pairs, tol, _ = _mixed_pairs()
+    pairs, _ = _mixed_pairs()
     for frames, point in ((False, frenet.point_data),
                           (True, frenet.compute_frenet)):
         want = []
         for curve, s in pairs:
             try:
-                want.append(point(curve, s, geo_tol=tol))
+                want.append(point(curve, s))
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 want.append((type(exc), str(exc)))
         got = [(type(res), str(res)) if isinstance(res, Exception) else res
-               for res in frenet.evaluate_points(pairs, geo_tol=tol,
-                                                 frames=frames)]
+               for res in frenet.evaluate_points(pairs, frames=frames)]
         assert got == want
         kinds = {w[0] if isinstance(w, tuple) and isinstance(w[0], type)
                  else "ok" for w in want}
@@ -547,8 +559,8 @@ def test_evaluate_points_matches_each_point_in_input_order():
 
 def test_evaluate_points_takes_one_grid_pass_over_all_helices(monkeypatch):
     calls, _ = _routes(monkeypatch)
-    pairs, tol, passed = _mixed_pairs()
-    list(frenet.evaluate_points(pairs, geo_tol=tol))
+    pairs, passed = _mixed_pairs()
+    list(frenet.evaluate_points(pairs))
     assert calls["grid"] == [[s for curve, s in pairs
                               if getattr(curve, "helix", None)]]
     # the pass hands back every degenerate point; the others need no redo
