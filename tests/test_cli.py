@@ -651,6 +651,56 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False False\n"
 
+    def test_fd_sweeps_leave_numpy_unloaded(self):
+        code = (
+            "import math, sys\n"
+            "import hhcurves as hh\n"
+            "def tangent(s):\n"
+            "    return (math.cosh(0.5 * s), math.sinh(0.5 * s), 0.0)\n"
+            "def position(s):\n"
+            "    return (2.0 * math.sinh(0.5 * s), 2.0 * math.cosh(0.5 * s),"
+            " -4.0 * s)\n"
+            "grid = [0.05 * k for k in range(-20, 21)]\n"
+            "for curve in (hh.FrameCurve(tangent, fd=hh.FDConfig(step=1e-3)),\n"
+            "              hh.CoordinateCurve.from_functions(\n"
+            "                  position, fd=hh.FDConfig(step=1e-2))):\n"
+            "    hh.check_biharmonic_conditions(curve, grid)\n"
+            "    hh.frenet_over_grid(curve, grid)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_frenet_input_leaves_numpy_unloaded(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        code, _, _ = run_cli(
+            ["generate", "--family", "spacelike", "--alpha0", "0.5",
+             "--range", "0:0.2:0.01", "-o", str(path)],
+            capsys,
+        )
+        assert code == 0
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from hhcurves import cli; "
+             "code = cli.main(['frenet', '--input', sys.argv[1]]); "
+             "print('numpy' in sys.modules, code, file=sys.stderr)",
+             str(path)],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("s,k1,")
+        assert proc.stderr == "False 0\n"
+
     def test_verify_runs_with_scipy_blocked(self, capsys):
         # a None entry in sys.modules makes every scipy import fail
         proc = subprocess.run(
