@@ -278,6 +278,70 @@ def array_ops():
 # --------------------------------------------------------------------------
 
 
+def _split(x):
+    """A 3-vector's components and their Dekker halves, for exact products.
+
+    Returns ``(x0, x1, x2, h0, h1, h2, l0, l1, l2)`` with ``xi = hi + li``
+    and halves narrow enough that their products are exact, as
+    :func:`_two_prod` splits each factor. A vector split once serves every
+    exact product it enters: ``_dot_terms`` and ``_gamma_terms`` take split
+    vectors and form each product inline from the halves.
+    """
+    x0 = x[0]
+    x1 = x[1]
+    x2 = x[2]
+    c = _SPLITTER * x0
+    h0 = c - (c - x0)
+    c = _SPLITTER * x1
+    h1 = c - (c - x1)
+    c = _SPLITTER * x2
+    h2 = c - (c - x2)
+    return (x0, x1, x2, h0, h1, h2, x0 - h0, x1 - h1, x2 - h2)
+
+
+def _dot_terms(x, y):
+    """Exact addends ``(p0, e0, -p1, -e1, -p2, -e2)`` of ``inner(x, y)``,
+    from split ``x`` and ``y``: ``xi·yi = pi + ei``."""
+    x0, x1, x2, xh0, xh1, xh2, xl0, xl1, xl2 = x
+    y0, y1, y2, yh0, yh1, yh2, yl0, yl1, yl2 = y
+    p0 = x0 * y0
+    p1 = x1 * y1
+    p2 = x2 * y2
+    return (
+        p0, ((xh0 * yh0 - p0) + xh0 * yl0 + xl0 * yh0) + xl0 * yl0,
+        -p1, -(((xh1 * yh1 - p1) + xh1 * yl1 + xl1 * yh1) + xl1 * yl1),
+        -p2, -(((xh2 * yh2 - p2) + xh2 * yl2 + xl2 * yh2) + xl2 * yl2),
+    )
+
+
+def _gamma_terms(x, y):
+    """Exact addend tuples for the three slots of the connection bilinear,
+    from split ``x`` and ``y``."""
+    x0, x1, x2, xh0, xh1, xh2, xl0, xl1, xl2 = x
+    y0, y1, y2, yh0, yh1, yh2, yl0, yl1, yl2 = y
+    a = x1 * y2
+    c = x2 * y1
+    g1 = (-a, -(((xh1 * yh2 - a) + xh1 * yl2 + xl1 * yh2) + xl1 * yl2),
+          -c, -(((xh2 * yh1 - c) + xh2 * yl1 + xl2 * yh1) + xl2 * yl1))
+    a = x0 * y2
+    c = x2 * y0
+    g2 = (-a, -(((xh0 * yh2 - a) + xh0 * yl2 + xl0 * yh2) + xl0 * yl2),
+          -c, -(((xh2 * yh0 - c) + xh2 * yl0 + xl2 * yh0) + xl2 * yl0))
+    a = x0 * y1
+    c = x1 * y0
+    g3 = (a, ((xh0 * yh1 - a) + xh0 * yl1 + xl0 * yh1) + xl0 * yl1,
+          -c, -(((xh1 * yh0 - c) + xh1 * yl0 + xl1 * yh0) + xl1 * yl0))
+    return g1, g2, g3
+
+
+def _cross_terms(x, y):
+    """Exact addend tuples for the three components of ``x ∧ y``, from split
+    ``x`` and ``y``: the slots of Γ(x, y) with their second products
+    negated in the first two."""
+    (a, b, c, d), (e, f, g, h), g3 = _gamma_terms(x, y)
+    return (a, b, -c, -d), (e, f, -g, -h), g3
+
+
 def _frame_products(fsum):
     """``inner`` and ``cross`` summed with ``fsum``.
 
@@ -288,23 +352,11 @@ def _frame_products(fsum):
 
     def inner(x, y):
         """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated."""
-        p0, e0 = _two_prod(x[0], y[0])
-        p1, e1 = _two_prod(x[1], y[1])
-        p2, e2 = _two_prod(x[2], y[2])
-        return fsum((p0, e0, -p1, -e1, -p2, -e2))
+        return fsum(_dot_terms(_split(x), _split(y)))
 
     def cross(x, y):
         """Frame cross product x ∧ y, compensated per component."""
-        p, e = _two_prod(x[1], y[2])
-        q, f = _two_prod(x[2], y[1])
-        c1 = fsum((-p, -e, q, f))
-        p, e = _two_prod(x[0], y[2])
-        q, f = _two_prod(x[2], y[0])
-        c2 = fsum((-p, -e, q, f))
-        p, e = _two_prod(x[0], y[1])
-        q, f = _two_prod(x[1], y[0])
-        c3 = fsum((p, e, -q, -f))
-        return (c1, c2, c3)
+        return tuple(map(fsum, _cross_terms(_split(x), _split(y))))
 
     return inner, cross
 
@@ -312,52 +364,59 @@ def _frame_products(fsum):
 inner, cross = _frame_products(math.fsum)
 
 
-def _gamma_terms(x, y):
-    """Exact addend tuples for the three slots of the connection bilinear."""
-    a, b = _two_prod(x[1], y[2])
-    c, d = _two_prod(x[2], y[1])
-    g1 = (-a, -b, -c, -d)
-    a, b = _two_prod(x[0], y[2])
-    c, d = _two_prod(x[2], y[0])
-    g2 = (-a, -b, -c, -d)
-    a, b = _two_prod(x[0], y[1])
-    c, d = _two_prod(x[1], y[0])
-    g3 = (a, b, -c, -d)
-    return g1, g2, g3
+def _covd(t, v, vp):
+    """:func:`covd` from split ``t`` and ``v``: each component is one
+    ``fsum`` of ``vp[i]`` and the exact addends of its slot of Γ(t, v)."""
+    fsum = math.fsum
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _gamma_terms(t, v)
+    return (fsum((vp[0], a0, a1, a2, a3)), fsum((vp[1], b0, b1, b2, b3)),
+            fsum((vp[2], c0, c1, c2, c3)))
+
+
+def _covd2(x, y, u, w, vp):
+    """vp + Γ(x, y) + Γ(u, w) from split ``x``, ``y``, ``u`` and ``w``, each
+    component one ``fsum`` of ``vp[i]`` and both slots' addends in order."""
+    fsum = math.fsum
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _gamma_terms(x, y)
+    (d0, d1, d2, d3), (e0, e1, e2, e3), (f0, f1, f2, f3) = _gamma_terms(u, w)
+    return (fsum((vp[0], a0, a1, a2, a3, d0, d1, d2, d3)),
+            fsum((vp[1], b0, b1, b2, b3, e0, e1, e2, e3)),
+            fsum((vp[2], c0, c1, c2, c3, f0, f1, f2, f3)))
 
 
 def covd(t, v, vp):
     """Covariant derivative along a curve: vp + Γ(t, v)."""
-    g1, g2, g3 = _gamma_terms(t, v)
-    return (
-        math.fsum((vp[0],) + g1),
-        math.fsum((vp[1],) + g2),
-        math.fsum((vp[2],) + g3),
-    )
+    return _covd(_split(t), _split(v), vp)
+
+
+def _curvature(x, y, z):
+    """:func:`curvature_op` from split ``x``, ``y`` and ``z``."""
+    fsum = math.fsum
+    (a, b, c, d), (e, f, g, h), g3 = _gamma_terms(x, y)
+    p12 = fsum(g3)
+    p13 = fsum((-e, -f, g, h))
+    p23 = fsum((-a, -b, c, d))
+
+    w0, w1, w2, wh0, wh1, wh2, wl0, wl1, wl2 = _split((3.0 * p12, p13, p23))
+    z0, z1, z2, zh0, zh1, zh2, zl0, zl1, zl2 = z
+    a = w0 * z1
+    c = w1 * z2
+    o1 = fsum((a, ((wh0 * zh1 - a) + wh0 * zl1 + wl0 * zh1) + wl0 * zl1,
+               -c, -(((wh1 * zh2 - c) + wh1 * zl2 + wl1 * zh2) + wl1 * zl2)))
+    a = w0 * z0
+    c = w2 * z2
+    o2 = fsum((a, ((wh0 * zh0 - a) + wh0 * zl0 + wl0 * zh0) + wl0 * zl0,
+               -c, -(((wh2 * zh2 - c) + wh2 * zl2 + wl2 * zh2) + wl2 * zl2)))
+    a = w1 * z0
+    c = w2 * z1
+    o3 = fsum((-a, -(((wh1 * zh0 - a) + wh1 * zl0 + wl1 * zh0) + wl1 * zl0),
+               c, ((wh2 * zh1 - c) + wh2 * zl1 + wl2 * zh1) + wl2 * zl1))
+    return (o1, o2, o3)
 
 
 def curvature_op(x, y, z):
     """Curvature operator R(x, y)z in frame components."""
-    a, b = _two_prod(x[0], y[1])
-    c, d = _two_prod(x[1], y[0])
-    p12 = math.fsum((a, b, -c, -d))
-    a, b = _two_prod(x[0], y[2])
-    c, d = _two_prod(x[2], y[0])
-    p13 = math.fsum((a, b, -c, -d))
-    a, b = _two_prod(x[1], y[2])
-    c, d = _two_prod(x[2], y[1])
-    p23 = math.fsum((a, b, -c, -d))
-
-    a, b = _two_prod(3.0 * p12, z[1])
-    c, d = _two_prod(p13, z[2])
-    o1 = math.fsum((a, b, -c, -d))
-    a, b = _two_prod(3.0 * p12, z[0])
-    c, d = _two_prod(p23, z[2])
-    o2 = math.fsum((a, b, -c, -d))
-    a, b = _two_prod(p13, z[0])
-    c, d = _two_prod(p23, z[1])
-    o3 = math.fsum((-a, -b, c, d))
-    return (o1, o2, o3)
+    return _curvature(_split(x), _split(y), _split(z))
 
 
 # --------------------------------------------------------------------------
@@ -365,37 +424,43 @@ def curvature_op(x, y, z):
 # --------------------------------------------------------------------------
 
 
-def _scale2(terms):
-    return tuple(2.0 * t for t in terms)
-
-
-def _chain_a1(jets):
-    """First covariant derivative ∇_T T and its first two parameter jets."""
-    t0, t1, t2, t3 = jets
-    g = _gamma_terms(t0, t0)
-    a10 = tuple(math.fsum((t1[i],) + g[i]) for i in range(3))
-    ga = _gamma_terms(t1, t0)
-    gb = _gamma_terms(t0, t1)
-    a11 = tuple(math.fsum((t2[i],) + ga[i] + gb[i]) for i in range(3))
-    ga = _gamma_terms(t2, t0)
-    gb = _gamma_terms(t1, t1)
-    gc = _gamma_terms(t0, t2)
-    a12 = tuple(
-        math.fsum((t3[i],) + ga[i] + _scale2(gb[i]) + gc[i]) for i in range(3)
+def _chain_a1(t0, t1, t2, t3):
+    """First covariant derivative ∇_T T and its first two parameter jets,
+    split, from split ``t0``, ``t1``, ``t2`` and plain ``t3``."""
+    fsum = math.fsum
+    a10 = _covd(t0, t0, t1)
+    a11 = _covd2(t1, t0, t0, t1, t2)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _gamma_terms(t2, t0)
+    (d0, d1, d2, d3), (e0, e1, e2, e3), (f0, f1, f2, f3) = _gamma_terms(t1, t1)
+    (g0, g1, g2, g3), (h0, h1, h2, h3), (i0, i1, i2, i3) = _gamma_terms(t0, t2)
+    a12 = (
+        fsum((t3[0], a0, a1, a2, a3, 2.0 * d0, 2.0 * d1, 2.0 * d2, 2.0 * d3,
+              g0, g1, g2, g3)),
+        fsum((t3[1], b0, b1, b2, b3, 2.0 * e0, 2.0 * e1, 2.0 * e2, 2.0 * e3,
+              h0, h1, h2, h3)),
+        fsum((t3[2], c0, c1, c2, c3, 2.0 * f0, 2.0 * f1, 2.0 * f2, 2.0 * f3,
+              i0, i1, i2, i3)),
     )
-    return a10, a11, a12
+    return _split(a10), _split(a11), _split(a12)
 
 
-def _chain_a3(jets, a10, a11, a12):
-    """Third covariant derivative ∇³_T T from the first-derivative jets."""
-    t0, t1, _, _ = jets
-    g = _gamma_terms(t0, a10)
-    a20 = tuple(math.fsum((a11[i],) + g[i]) for i in range(3))
-    ga = _gamma_terms(t1, a10)
-    gb = _gamma_terms(t0, a11)
-    a21 = tuple(math.fsum((a12[i],) + ga[i] + gb[i]) for i in range(3))
-    g = _gamma_terms(t0, a20)
-    return tuple(math.fsum((a21[i],) + g[i]) for i in range(3))
+def _tau_direct(t0, t1, a1):
+    """τ₂ of :func:`bitension_direct_jets` from split ``t0``, ``t1`` and
+    ``a1 = _chain_a1(...)``: the third covariant derivative ∇³_T T, then
+    R(T, ∇_T T)T."""
+    a10, a11, a12 = a1
+    a20 = _covd(t0, a10, a11)
+    a21 = _covd2(t1, a10, t0, a11, a12)
+    a3 = _covd(t0, _split(a20), a21)
+    r = _curvature(t0, a10, t0)
+    return (a3[0] - r[0], a3[1] - r[1], a3[2] - r[2])
+
+
+def _split_chain(jets):
+    """Split ``t0``, ``t1``, ``t2`` of ``jets`` and their ``_chain_a1``."""
+    t0, t1, t2, t3 = jets
+    t0, t1, t2 = _split(t0), _split(t1), _split(t2)
+    return t0, t1, _chain_a1(t0, t1, t2, t3)
 
 
 def bitension_direct_jets(jets):
@@ -404,14 +469,7 @@ def bitension_direct_jets(jets):
     ``jets`` is a 4-tuple of frame 3-vectors: the unit tangent and its first
     three parameter derivatives.
     """
-    return _tau_direct(jets, _chain_a1(jets))
-
-
-def _tau_direct(jets, a1):
-    """τ₂ of :func:`bitension_direct_jets` from ``a1 = _chain_a1(jets)``."""
-    a3 = _chain_a3(jets, *a1)
-    r = curvature_op(jets[0], a1[0], jets[0])
-    return (a3[0] - r[0], a3[1] - r[1], a3[2] - r[2])
+    return _tau_direct(*_split_chain(jets))
 
 
 def project_unit_jets(jets, unit_tol):
@@ -425,8 +483,10 @@ def project_unit_jets(jets, unit_tol):
     correction, but it is what lets the direct and Frenet-form bitension
     routes agree to machine precision on finite-difference data.
     """
+    fsum = math.fsum
     t0, t1, t2, t3 = jets
-    g = inner(t0, t0)
+    s0 = _split(t0)
+    g = fsum(_dot_terms(s0, s0))
     ag = abs(g)
     if not abs(ag - 1.0) <= unit_tol:
         raise UnitSpeedError(
@@ -435,16 +495,19 @@ def project_unit_jets(jets, unit_tol):
         )
     eps1 = 1.0 if g > 0.0 else -1.0
     inv = 1.0 / math.sqrt(ag)
-    t0 = tuple(c * inv for c in t0)
-    t1 = tuple(c * inv for c in t1)
-    t2 = tuple(c * inv for c in t2)
-    t3 = tuple(c * inv for c in t3)
-    c = eps1 * inner(t1, t0)
-    t1 = tuple(t1[i] - c * t0[i] for i in range(3))
-    c = eps1 * (inner(t2, t0) + inner(t1, t1))
-    t2 = tuple(t2[i] - c * t0[i] for i in range(3))
-    c = eps1 * (inner(t3, t0) + 3.0 * inner(t2, t1))
-    t3 = tuple(t3[i] - c * t0[i] for i in range(3))
+    t0 = (t0[0] * inv, t0[1] * inv, t0[2] * inv)
+    t1 = (t1[0] * inv, t1[1] * inv, t1[2] * inv)
+    t2 = (t2[0] * inv, t2[1] * inv, t2[2] * inv)
+    t3 = (t3[0] * inv, t3[1] * inv, t3[2] * inv)
+    s0 = _split(t0)
+    c = eps1 * fsum(_dot_terms(_split(t1), s0))
+    t1 = (t1[0] - c * t0[0], t1[1] - c * t0[1], t1[2] - c * t0[2])
+    s1 = _split(t1)
+    c = eps1 * (fsum(_dot_terms(_split(t2), s0)) + fsum(_dot_terms(s1, s1)))
+    t2 = (t2[0] - c * t0[0], t2[1] - c * t0[1], t2[2] - c * t0[2])
+    c = eps1 * (fsum(_dot_terms(_split(t3), s0))
+                + 3.0 * fsum(_dot_terms(_split(t2), s1)))
+    t3 = (t3[0] - c * t0[0], t3[1] - c * t0[1], t3[2] - c * t0[2])
     return (t0, t1, t2, t3)
 
 
@@ -462,25 +525,27 @@ def frenet_jets(jets, geo_tol):
     :class:`NullNormalDegenerateError` when ∇_T T is non-zero but null at
     tolerance geo_tol².
     """
-    return _frenet_chain(jets, _chain_a1(jets), geo_tol)
+    s0, s1, a1 = _split_chain(jets)
+    return _frenet_chain(jets[0], s0, s1, a1, geo_tol)
 
 
-def _frenet_chain(jets, a1, geo_tol):
-    """:func:`frenet_jets` from ``a1 = _chain_a1(jets)``."""
-    t0, t1, _, _ = jets
+def _frenet_chain(t0, s0, s1, a1, geo_tol):
+    """:func:`frenet_jets` from the tangent ``t0``, split ``s0`` (of ``t0``)
+    and ``s1`` (of its first jet), and ``a1 = _chain_a1(...)``."""
+    fsum = math.fsum
     a10, a11, a12 = a1
-    if math.hypot(*a10) <= geo_tol:
+    if math.hypot(a10[0], a10[1], a10[2]) <= geo_tol:
         raise GeodesicDegenerateError(
             "curvature vanishes at this point (‖∇_T T‖ <= %r)" % (geo_tol,)
         )
-    q0 = inner(a10, a10)
+    q0 = fsum(_dot_terms(a10, a10))
     if abs(q0) <= geo_tol * geo_tol:
         raise NullNormalDegenerateError(
             "acceleration is null at this point (inner(A, A) = %r)" % (q0,)
         )
     eps2 = _sign(q0)
-    q1 = 2.0 * inner(a11, a10)
-    q2 = 2.0 * inner(a12, a10) + 2.0 * inner(a11, a11)
+    q1 = 2.0 * fsum(_dot_terms(a11, a10))
+    q2 = 2.0 * fsum(_dot_terms(a12, a10)) + 2.0 * fsum(_dot_terms(a11, a11))
     u0 = eps2 * q0
     u1 = eps2 * q1
     u2 = eps2 * q2
@@ -491,25 +556,28 @@ def _frenet_chain(jets, a1, geo_tol):
     w0 = eps2 / k1
     w1 = -eps2 * k1p / u0
     w2 = eps2 * (2.0 * k1p * k1p / (u0 * k1) - k1pp / u0)
-    n0 = tuple(w0 * a10[i] for i in range(3))
-    n1 = tuple(w0 * a11[i] + w1 * a10[i] for i in range(3))
-    n2 = tuple(w0 * a12[i] + 2.0 * w1 * a11[i] + w2 * a10[i] for i in range(3))
+    w1x2 = 2.0 * w1
+    n0 = (w0 * a10[0], w0 * a10[1], w0 * a10[2])
+    n1 = (w0 * a11[0] + w1 * a10[0], w0 * a11[1] + w1 * a10[1],
+          w0 * a11[2] + w1 * a10[2])
+    n2 = (w0 * a12[0] + w1x2 * a11[0] + w2 * a10[0],
+          w0 * a12[1] + w1x2 * a11[1] + w2 * a10[1],
+          w0 * a12[2] + w1x2 * a11[2] + w2 * a10[2])
+    sn0, sn1 = _split(n0), _split(n1)
 
-    b0 = cross(t0, n0)
-    ca = cross(t1, n0)
-    cb = cross(t0, n1)
-    b1 = tuple(ca[i] + cb[i] for i in range(3))
+    b0 = tuple(map(fsum, _cross_terms(s0, sn0)))
+    ca = tuple(map(fsum, _cross_terms(s1, sn0)))
+    cb = tuple(map(fsum, _cross_terms(s0, sn1)))
+    b1 = (ca[0] + cb[0], ca[1] + cb[1], ca[2] + cb[2])
 
-    m0 = covd(t0, n0, n1)
-    ga = _gamma_terms(t1, n0)
-    gb = _gamma_terms(t0, n1)
-    m1 = tuple(math.fsum((n2[i],) + ga[i] + gb[i]) for i in range(3))
-
-    k2 = inner(m0, b0)
-    k2p = inner(m1, b0) + inner(m0, b1)
-    eps1 = _sign(inner(t0, t0))
-    eps3 = _sign(inner(b0, b0))
-    db = covd(t0, b0, b1)
+    m0 = _covd(s0, sn0, n1)
+    m1 = _covd2(s1, sn0, s0, sn1, n2)
+    sb0, sm0 = _split(b0), _split(m0)
+    k2 = fsum(_dot_terms(sm0, sb0))
+    k2p = fsum(_dot_terms(_split(m1), sb0)) + fsum(_dot_terms(sm0, _split(b1)))
+    eps1 = _sign(fsum(_dot_terms(s0, s0)))
+    eps3 = _sign(fsum(_dot_terms(sb0, sb0)))
+    db = _covd(s0, sb0, b1)
     return (k1, k1p, k1pp, k2, k2p, eps1, eps2, eps3) + t0 + n0 + b0 + m0 + db
 
 
@@ -539,9 +607,9 @@ def point_eval(jets, geo_tol):
     Both routes start from the same first covariant chain ``∇_T T`` and its
     jets, as the helix kernel's do; from there they are independent.
     """
-    a1 = _chain_a1(jets)
-    tau_d = _tau_direct(jets, a1)
-    fr = _frenet_chain(jets, a1, geo_tol)
+    s0, s1, a1 = _split_chain(jets)
+    tau_d = _tau_direct(s0, s1, a1)
+    fr = _frenet_chain(jets[0], s0, s1, a1, geo_tol)
     return fr, tau_d, _tau_from_frenet(fr)
 
 

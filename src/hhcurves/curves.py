@@ -124,26 +124,59 @@ class HelixSpec:
 # Finite differencing
 # ---------------------------------------------------------------------------
 
-# Central stencils of accuracy order 2: {order: ((offset, weight), ...)}.
+# Central stencils of accuracy order 2: {order: (offsets, weights)}.
 _STENCILS = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+    1: ((-1, 1), (-0.5, 0.5)),
+    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
+    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
+    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
 }
 
 
-def _fd_once(f, s, order, h):
-    acc = None
-    for off, w in _STENCILS[order]:
-        vals = f(s + off * h)
-        if acc is None:
-            acc = [w * v for v in vals]
-        else:
-            for i, v in enumerate(vals):
-                acc[i] += w * v
-    scale = h ** order
-    return tuple(a / scale for a in acc)
+def _fd_plan(orders, h):
+    """What :func:`_fd_pass` needs for derivatives ``orders`` at base step h.
+
+    Returns ``(deltas, sums)``. The pass calls the function at ``s + delta``
+    for each delta in turn: for each order, its stencil at step h, then at
+    h/2, each ``delta`` being ``offset * step``. ``sums`` has one entry per
+    order: its first value's index in the pass, the stencil length, the
+    first weight, the later weights with their positions, the order and h.
+    """
+    half = h / 2.0
+    deltas = []
+    sums = []
+    for order in orders:
+        offsets, weights = _STENCILS[order]
+        sums.append((len(deltas), len(offsets), weights[0],
+                     tuple(enumerate(weights))[1:], order, h))
+        deltas += [off * h for off in offsets]
+        deltas += [off * half for off in offsets]
+    return tuple(deltas), tuple(sums)
+
+
+def _fd_pass(f, s, plan):
+    """Finite-difference derivatives of ``f`` at ``s``, one per order of
+    ``plan`` (see :func:`_fd_plan`), from one pass of calls to ``f``.
+
+    Each stencil sum starts from its first weighted value and adds the others
+    in stencil order, and is divided by step**order; the result is the
+    Richardson extrapolation ``(4·D(h/2) − D(h)) / 3``.
+    """
+    deltas, sums = plan
+    values = [f(s + d) for d in deltas]
+    out = []
+    for k, n, w0, rest, order, h in sums:
+        scale, half_scale = h ** order, (h / 2.0) ** order
+        derivative = []
+        for c in zip(*values[k:k + 2 * n]):
+            a = w0 * c[0]
+            b = w0 * c[n]
+            for j, w in rest:
+                a += w * c[j]
+                b += w * c[n + j]
+            derivative.append((4.0 * (b / half_scale) - a / scale) / 3.0)
+        out.append(tuple(derivative))
+    return tuple(out)
 
 
 def fd_derivative(f, s, order, cfg):
@@ -155,9 +188,7 @@ def fd_derivative(f, s, order, cfg):
     """
     if order not in _STENCILS:
         raise InvalidInputError("derivative order must be 1..4, got %r" % (order,))
-    d1 = _fd_once(f, s, order, cfg.step)
-    d2 = _fd_once(f, s, order, cfg.step / 2.0)
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(d1, d2))
+    return _fd_pass(f, s, _fd_plan((order,), cfg.step))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +203,16 @@ def _finite_jets(jets):
     a non-finite derivative raises :class:`InvalidInputError`.
     """
     for r, jet in enumerate(jets):
-        if not all(math.isfinite(c) for c in jet):
+        if not all(map(math.isfinite, jet)):
             raise (UnitSpeedError if r == 0 else InvalidInputError)(
                 "frame tangent jet of order %d is not finite: %r" % (r, jet)
             )
     return jets
+
+
+# C(r, j) for r = 0..3: the Leibniz coefficients of T3's derivatives.
+_BINOMIALS = tuple(tuple(float(math.comb(r, j)) for j in range(r + 1))
+                   for r in range(4))
 
 
 def _tangent_from_coordinate_jets(pos, derivs):
@@ -190,10 +226,9 @@ def _tangent_from_coordinate_jets(pos, derivs):
     """
     d = (pos,) + tuple(derivs)
     jets = []
-    for r in range(4):
+    for r, binomials in enumerate(_BINOMIALS):
         acc = [d[r + 1][2] / 2.0]
-        for j in range(r + 1):
-            cjr = float(math.comb(r, j))
+        for j, cjr in enumerate(binomials):
             acc.append(cjr * d[j + 1][0] * d[r - j][1])
             acc.append(-cjr * d[r - j][0] * d[j + 1][1])
         try:
@@ -220,6 +255,9 @@ class CoordinateCurve:
         self._fd = fd if fd is not None else FDConfig()
         self._samples = samples
         self.helix = helix
+        # finite differences of orders 1-4, when they back the derivatives
+        self._fd_jets = (_fd_plan((1, 2, 3, 4), self._fd.step)
+                         if derivative is None and samples is None else None)
 
     # -- constructors -------------------------------------------------------
 
@@ -275,7 +313,7 @@ class CoordinateCurve:
         return self._samples
 
     def point(self, s):
-        return tuple(float(c) for c in self._position(s))
+        return tuple(map(float, self._position(s)))
 
     def derivative(self, s, order):
         """m-th coordinate derivative, m = 1..4."""
@@ -298,7 +336,10 @@ class CoordinateCurve:
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives (frame comps)."""
         pos = self.point(s)
-        derivs = [self.derivative(s, m) for m in (1, 2, 3, 4)]
+        if self._fd_jets is not None:
+            derivs = _fd_pass(self.point, s, self._fd_jets)
+        else:
+            derivs = [self.derivative(s, m) for m in (1, 2, 3, 4)]
         return _tangent_from_coordinate_jets(pos, derivs)
 
 
@@ -365,13 +406,16 @@ class FrameCurve:
         self._derivative = derivative
         self._fd = fd if fd is not None else FDConfig()
         self.helix = helix
+        # finite differences of orders 1-3, when they back the derivatives
+        self._fd_jets = (_fd_plan((1, 2, 3), self._fd.step)
+                         if derivative is None else None)
 
     @property
     def analytic(self):
         return self._derivative is not None
 
     def tangent(self, s):
-        return tuple(float(c) for c in self._tangent(s))
+        return tuple(map(float, self._tangent(s)))
 
     def derivative(self, s, order):
         if order not in (1, 2, 3):
@@ -385,8 +429,11 @@ class FrameCurve:
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives; raises when one
         is not finite (see :func:`_finite_jets`)."""
+        t = self.tangent(s)
+        if self._fd_jets is not None:
+            return _finite_jets((t,) + _fd_pass(self.tangent, s, self._fd_jets))
         return _finite_jets((
-            self.tangent(s),
+            t,
             self.derivative(s, 1),
             self.derivative(s, 2),
             self.derivative(s, 3),
