@@ -31,6 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from hhcurves import frame as _frame
+from hhcurves._kernels.pure import _two_sum
 from hhcurves.errors import (
     InvalidInputError,
     MixedCausalityError,
@@ -83,7 +84,10 @@ class HelixSpec:
     ``form`` 0 means ``T = (amp·cosh u, amp·sinh u, tilt)``; ``form`` 1 means
     ``T = (amp·sinh u, amp·cosh u, tilt)``; in both ``u = slope·s + phase``
     with the slope carried as a double-double ``(slope_hi, slope_lo)`` so the
-    evaluation kernel can hold the biharmonicity root to ~31 digits.
+    evaluation kernel can hold the biharmonicity root to ~31 digits. The
+    pair is stored normalized (``slope_hi`` is the double nearest the
+    slope), so that the plain-double ``slope``, ``tangent`` and
+    ``derivative`` describe the curve the kernel evaluates.
     """
 
     form: int
@@ -100,6 +104,10 @@ class HelixSpec:
                 "helix amp, tilt, slope and phase must be finite, got %r"
                 % (values,)
             )
+        hi, lo = _two_sum(self.slope_hi, self.slope_lo)
+        if hi != self.slope_hi:
+            object.__setattr__(self, "slope_hi", hi)
+            object.__setattr__(self, "slope_lo", lo)
 
     @property
     def slope(self):

@@ -21,12 +21,15 @@ from hhcurves import (
     fd_derivative,
     integrate_frame_curve,
     is_horizontal,
+    make_helix,
     make_spacelike_biharmonic,
     make_spacelike_horizontal,
     read_curve_csv,
     vertical_momentum,
 )
-from hhcurves.frenet import point_data
+from hhcurves import _kernels
+from hhcurves._kernels.pure import _two_sum
+from hhcurves.frenet import direct_tau, point_data
 
 GRID = tuple(-1.0 + 0.25 * i for i in range(9))
 
@@ -381,3 +384,30 @@ class TestHelixSpec:
             args[field] = bad
             with pytest.raises(InvalidInputError, match="must be finite"):
                 HelixSpec(*args)
+
+    def test_slope_pair_is_stored_normalized(self):
+        """An unnormalized (hi, lo) slope is stored as its two-sum, so the
+        plain-double jets describe the curve the helix kernel evaluates:
+        along this near-geodesic helix (k1 near 5e-10) both routes give the
+        same k1 and direct bitension, where the unnormalized hi word alone
+        gives a geodesic."""
+        hi, lo = 2.0 * math.sinh(0.6), 4.2e-10
+        curve = make_helix("spacelike", 0.6, (hi, lo))
+        spec = curve.helix
+        assert (spec.slope_hi, spec.slope_lo) == _two_sum(hi, lo)
+        assert spec.slope_hi + spec.slope_lo == spec.slope_hi
+        for s in (-1.0, 0.0, 0.5, 1.5):
+            jets = curve.tangent_jets(s)
+            a10 = _kernels.covd(jets[0], jets[0], jets[1])
+            k1 = math.sqrt(abs(_kernels.inner(a10, a10)))
+            fr, tau_d, _ = _kernels.helix_eval(
+                spec.form, spec.amp, spec.tilt, spec.slope_hi, spec.slope_lo,
+                spec.phase, s, 0.0)
+            assert k1 == pytest.approx(fr[0], rel=1e-5)
+            assert direct_tau(curve, s) == pytest.approx(tau_d, abs=1e-11)
+
+    def test_normalized_slope_pairs_are_kept_bit_for_bit(self):
+        for hi, lo in ((2.0, 1e-20), (-0.0, 0.0), (1.5, -0.0), (3.0, 0.0)):
+            spec = HelixSpec(0, 1.0, 0.0, hi, lo)
+            assert (repr(spec.slope_hi), repr(spec.slope_lo)) == (repr(hi),
+                                                                   repr(lo))
