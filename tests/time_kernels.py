@@ -1,0 +1,69 @@
+"""Print the per-call time of each stage of the scalar jet pipeline.
+
+The stages are the finite-difference tangent jets of a coordinate curve and
+of a frame curve, ``project_unit_jets``, ``point_eval`` and ``frenet_jets``.
+Both curves are FD-backed copies (no closed-form derivatives, no
+``HelixSpec``) of a seeded spacelike biharmonic helix; the kernels run on
+the frame curve's jets. The table shows the best of ``--repeat`` passes over
+``--points`` seeded parameters, in microseconds per call. pytest does not
+collect this file (its name does not start with ``test_``).
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/time_kernels.py --seed 1
+"""
+
+import argparse
+import random
+import time
+
+from hhcurves import CoordinateCurve, FDConfig, FrameCurve, _kernels, curves
+from hhcurves.families import make_spacelike_biharmonic
+
+
+def best_us(fn, args, repeat):
+    """Best of ``repeat`` passes of ``fn`` over ``args``, in µs per call."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for a in args:
+            fn(a)
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / len(args)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--points", type=int, default=400)
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    helix = make_spacelike_biharmonic(rng.uniform(-1.0, 1.0),
+                                      phase=rng.uniform(-1.0, 1.0))
+    coordinate = CoordinateCurve.from_functions(helix.point,
+                                                fd=FDConfig(step=0.01))
+    frame = FrameCurve(helix.helix.tangent, fd=FDConfig(step=0.001))
+    grid = [rng.uniform(-1.0, 1.0) for _ in range(args.points)]
+    unit_tol = curves.unit_speed_tol(frame)
+    geo_tol = curves.geodesic_tol(frame)
+    raw = [frame.tangent_jets(s) for s in grid]
+    projected = [_kernels.project_unit_jets(j, unit_tol) for j in raw]
+
+    rows = (
+        ("coordinate FD tangent_jets", coordinate.tangent_jets, grid),
+        ("frame FD tangent_jets", frame.tangent_jets, grid),
+        ("project_unit_jets",
+         lambda j: _kernels.project_unit_jets(j, unit_tol), raw),
+        ("point_eval", lambda j: _kernels.point_eval(j, geo_tol), projected),
+        ("frenet_jets", lambda j: _kernels.frenet_jets(j, geo_tol), projected),
+    )
+    print("%-28s %10s" % ("stage (seed %d, best of %d)" % (args.seed,
+                                                          args.repeat),
+                          "us/call"))
+    for name, fn, inputs in rows:
+        print("%-28s %10.2f" % (name, best_us(fn, inputs, args.repeat)))
+
+
+if __name__ == "__main__":
+    main()
