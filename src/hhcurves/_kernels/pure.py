@@ -361,7 +361,7 @@ def _frame_products(fsum):
     def inner(x, y):
         """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated."""
         # fsum(_dot_terms(_split(x), _split(y))) written out: the three calls
-        # cost a fifth more than the body.
+        # cost about a third more than the body.
         x0, x1, x2, y0, y1, y2 = x[0], x[1], x[2], y[0], y[1], y[2]
         c = _SPLITTER * x0
         xh0 = c - (c - x0)
@@ -431,18 +431,18 @@ def _curvature(x, y, z):
 
     w0, w1, w2, wh0, wh1, wh2, wl0, wl1, wl2 = _split((3.0 * p12, p13, p23))
     z0, z1, z2, zh0, zh1, zh2, zl0, zl1, zl2 = z
-    a = w0 * z1
-    c = w1 * z2
-    o1 = fsum((a, ((wh0 * zh1 - a) + wh0 * zl1 + wl0 * zh1) + wl0 * zl1,
-               -c, -(((wh1 * zh2 - c) + wh1 * zl2 + wl1 * zh2) + wl1 * zl2)))
-    a = w0 * z0
-    c = w2 * z2
-    o2 = fsum((a, ((wh0 * zh0 - a) + wh0 * zl0 + wl0 * zh0) + wl0 * zl0,
-               -c, -(((wh2 * zh2 - c) + wh2 * zl2 + wl2 * zh2) + wl2 * zl2)))
-    a = w1 * z0
-    c = w2 * z1
-    o3 = fsum((-a, -(((wh1 * zh0 - a) + wh1 * zl0 + wl1 * zh0) + wl1 * zl0),
-               c, ((wh2 * zh1 - c) + wh2 * zl1 + wl2 * zh1) + wl2 * zl1))
+    p = w0 * z1
+    q = w1 * z2
+    o1 = fsum((p, ((wh0 * zh1 - p) + wh0 * zl1 + wl0 * zh1) + wl0 * zl1,
+               -q, -(((wh1 * zh2 - q) + wh1 * zl2 + wl1 * zh2) + wl1 * zl2)))
+    p = w0 * z0
+    q = w2 * z2
+    o2 = fsum((p, ((wh0 * zh0 - p) + wh0 * zl0 + wl0 * zh0) + wl0 * zl0,
+               -q, -(((wh2 * zh2 - q) + wh2 * zl2 + wl2 * zh2) + wl2 * zl2)))
+    p = w1 * z0
+    q = w2 * z1
+    o3 = fsum((-p, -(((wh1 * zh0 - p) + wh1 * zl0 + wl1 * zh0) + wl1 * zl0),
+               q, ((wh2 * zh1 - q) + wh2 * zl1 + wl2 * zh1) + wl2 * zl1))
     return (o1, o2, o3)
 
 

@@ -444,13 +444,10 @@ class FrameCurve:
         is not finite (see :func:`_finite_jets`)."""
         t = self.tangent(s)
         if self._fd_jets is not None:
-            return _finite_jets((t,) + _fd_pass(self.tangent, s, self._fd_jets))
-        return _finite_jets((
-            t,
-            self.derivative(s, 1),
-            self.derivative(s, 2),
-            self.derivative(s, 3),
-        ))
+            derivs = _fd_pass(self.tangent, s, self._fd_jets)
+        else:
+            derivs = tuple(self.derivative(s, m) for m in (1, 2, 3))
+        return _finite_jets((t,) + derivs)
 
 
 # ---------------------------------------------------------------------------
