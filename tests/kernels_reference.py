@@ -2,13 +2,15 @@
 
 These are the kernel bodies from before the split-once rewrite: every exact
 product goes through ``_two_prod``, which splits both of its factors on each
-call; and the finite-difference tangent jets take one stencil per
-derivative order through ``fd_derivative``. The library must give the same
+call; and the finite-difference tangent jets, of FD-backed and of sampled
+curves, take one stencil per derivative order through ``fd_derivative``,
+a sampled curve finding its node for each. The library must give the same
 values, signs of zero, non-finite results and raised exceptions, bit for
 bit.
 """
 
 import math
+from bisect import bisect_left
 
 from hhcurves.errors import (
     GeodesicDegenerateError,
@@ -317,6 +319,42 @@ def coordinate_tangent_jets(position, s, step):
 
     pos = point(s)
     derivs = [fd_derivative(point, s, m, step) for m in (1, 2, 3, 4)]
+    return _tangent_from_coordinate_jets(pos, derivs)
+
+
+def _sample_node(s_values, s):
+    i = bisect_left(s_values, s - 1e-9 * max(1.0, abs(s)))
+    if i >= len(s_values) or abs(s_values[i] - s) > 1e-9 * max(1.0, abs(s)):
+        raise InvalidInputError(
+            "sampled curves can only be evaluated at grid nodes; "
+            "%r is not one" % (s,)
+        )
+    return i
+
+
+def sampled_derivative(s_values, points, s, order):
+    """``derivative(s, order)`` of ``CoordinateCurve.from_samples(s_values,
+    points)``: the node's stencil over its neighbours at base step two
+    spacings, taken at 0."""
+    spacing = s_values[1] - s_values[0]
+    i = _sample_node(s_values, s)
+    lo, hi = 4, len(s_values) - 5
+    if not lo <= i <= hi:
+        raise InvalidInputError(
+            "node %d too close to the boundary for stencil derivatives "
+            "(valid interior is [%d, %d])" % (i, lo, hi)
+        )
+    offsets = {k * spacing: k for k in range(-4, 5)}
+    return fd_derivative(lambda t: points[i + offsets[t]], 0.0, order,
+                         2.0 * spacing)
+
+
+def sampled_tangent_jets(s_values, points, s):
+    """``tangent_jets`` of ``CoordinateCurve.from_samples(s_values, points)``:
+    the node's point, then one stencil per derivative order, each finding
+    the node again."""
+    pos = points[_sample_node(s_values, s)]
+    derivs = [sampled_derivative(s_values, points, s, m) for m in (1, 2, 3, 4)]
     return _tangent_from_coordinate_jets(pos, derivs)
 
 

@@ -1,13 +1,14 @@
 """The scalar jet pipeline against its ``_two_prod`` reference, bit for bit.
 
 ``kernels_reference`` holds the kernels and the finite-difference tangent
-jets as they were written before exact products split each factor once and
-the stencils became one pass. Every kernel here must return the same
-values, to the sign of zero, the same non-finite results, and raise the same
-exception with the same message. The drawn jets cover projected unit jets,
-raw jets at the two unit-speed gates, signed zeros, subnormals, components
-large enough that products overflow (``math.fsum`` then raises), inf and
-NaN, and jets whose acceleration is near zero or near null.
+jets of FD-backed and sampled curves as they were written before exact
+products split each factor once and the stencils became one pass. Every
+kernel here must return the same values, to the sign of zero, the same
+non-finite results, and raise the same exception with the same message.
+The drawn jets cover projected unit jets, raw jets at the two unit-speed
+gates, signed zeros, subnormals, components large enough that products
+overflow (``math.fsum`` then raises), inf and NaN, and jets whose
+acceleration is near zero or near null.
 """
 
 import math
@@ -251,6 +252,44 @@ def test_frame_fd_tangent_jets(tangent, s, step):
     curve = FrameCurve(tangent, fd=FDConfig(step=step))
     _check(curve.tangent_jets, lambda t: ref.frame_tangent_jets(
         tangent, t, step), s)
+
+
+NODE_VALUE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def sample_tables(draw):
+    """A uniform node table with coordinates up to 1e200, and a parameter at
+    an interior node, a boundary node, just off a node (inside and outside
+    the search tolerance), between nodes or beyond either end."""
+    n = draw(st.one_of(st.integers(9, 16), st.integers(2, 8)))
+    spacing = draw(st.one_of(st.sampled_from([0.05, 0.1, 2.0**-4, 1e-3, 0.3]),
+                             st.floats(1e-4, 2.0)))
+    s0 = draw(st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                        st.floats(-5.0, 5.0)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e100, 1e200]))
+    s_values = [s0 + i * spacing for i in range(n)]
+    points = [tuple(scale * c for c in draw(_vec(NODE_VALUE)))
+              for _ in range(n)]
+    interior = n >= 9 and draw(st.sampled_from([True, True, False]))
+    s = s_values[draw(st.integers(4, n - 5) if interior
+                      else st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        s += spacing * draw(st.sampled_from([1e-12, -1e-11, 1e-7, 0.5, -0.5,
+                                             float(n), -1.0]))
+    return s_values, points, s
+
+
+@PROPS
+@given(sample_tables())
+def test_sampled_tangent_jets_and_derivatives(table):
+    s_values, points, s = table
+    curve = CoordinateCurve.from_samples(s_values, points)
+    _check(curve.tangent_jets, lambda t: ref.sampled_tangent_jets(
+        s_values, points, t), s)
+    for m in (1, 2, 3, 4):
+        _check(curve.derivative, lambda t, order: ref.sampled_derivative(
+            s_values, points, t, order), s, m)
 
 
 # Stencil offsets of each derivative order, in the order they are taken.
