@@ -360,31 +360,7 @@ def _frame_products(fsum):
 
     def inner(x, y):
         """Indefinite inner product x1·y1 − x2·y2 − x3·y3, compensated."""
-        # fsum(_dot_terms(_split(x), _split(y))) written out: the three calls
-        # cost about a third more than the body.
-        x0, x1, x2, y0, y1, y2 = x[0], x[1], x[2], y[0], y[1], y[2]
-        c = _SPLITTER * x0
-        xh0 = c - (c - x0)
-        c = _SPLITTER * x1
-        xh1 = c - (c - x1)
-        c = _SPLITTER * x2
-        xh2 = c - (c - x2)
-        c = _SPLITTER * y0
-        yh0 = c - (c - y0)
-        c = _SPLITTER * y1
-        yh1 = c - (c - y1)
-        c = _SPLITTER * y2
-        yh2 = c - (c - y2)
-        xl0, xl1, xl2 = x0 - xh0, x1 - xh1, x2 - xh2
-        yl0, yl1, yl2 = y0 - yh0, y1 - yh1, y2 - yh2
-        p0 = x0 * y0
-        p1 = x1 * y1
-        p2 = x2 * y2
-        return fsum((
-            p0, ((xh0 * yh0 - p0) + xh0 * yl0 + xl0 * yh0) + xl0 * yl0,
-            -p1, -(((xh1 * yh1 - p1) + xh1 * yl1 + xl1 * yh1) + xl1 * yl1),
-            -p2, -(((xh2 * yh2 - p2) + xh2 * yl2 + xl2 * yh2) + xl2 * yl2),
-        ))
+        return fsum(_dot_terms(_split(x), _split(y)))
 
     def cross(x, y):
         """Frame cross product x ∧ y, compensated per component."""

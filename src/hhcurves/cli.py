@@ -38,6 +38,7 @@ import tempfile
 from . import families as _families
 from . import frenet as _frenet
 from . import verify as _verify
+from .biharmonic import _enorm
 from .curves import integrate_frame_curve, read_curve_csv
 from .errors import HHCurvesError, InvalidInputError
 
@@ -89,10 +90,6 @@ _MAX_INTEGRATION_STEPS = 100_000
 def _fmt(value):
     """Deterministic float formatting; +0.0 normalizes negative zero."""
     return "%.17g" % (float(value) + 0.0)
-
-
-def _enorm3(v):
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def _write_text(path, text):
@@ -285,8 +282,8 @@ def cmd_frenet(ns):
             rows.append((s,) + (0.0,) * 9 + (1,))
             continue
         fr, tau_d, tau_f = res
-        rows.append((s, *_frenet.frame_scalars(fr), _enorm3(tau_d),
-                     _enorm3(tau_f), 0))
+        rows.append((s, *_frenet.frame_scalars(fr), _enorm(tau_d),
+                     _enorm(tau_f), 0))
     _write_csv(ns.output, _FRENET_HEADER, rows)
     return 0
 

@@ -135,27 +135,26 @@ def _basis(k):
     return tuple(1 if n == k else 0 for n in range(3))
 
 
-def _nabla_const(i, v, table):
-    """∇_{e_{i+1}} of a constant-coefficient field v (integer arithmetic)."""
+def _nabla_const(i, v):
+    """∇_{e_{i+1}} of a constant-coefficient field v under :data:`CONNECTION`
+    (integer arithmetic)."""
     out = [0, 0, 0]
     for j in range(3):
         coeff = v[j]
         if coeff:
-            entry = table.coeffs[i][j]
+            entry = CONNECTION.coeffs[i][j]
             for n in range(3):
                 out[n] += coeff * entry[n]
     return tuple(out)
 
 
-def curvature_from_connection(table=None):
-    """Brute-force curvature table from the connection (exact oracle).
+def curvature_from_connection():
+    """Brute-force curvature table from :data:`CONNECTION` (exact oracle).
 
     Evaluates ``R(ei, ej)ek = ∇_i ∇_j ek − ∇_j ∇_i ek − ∇_{[ei,ej]} ek`` with
     integer arithmetic; the bracket term expands over the constant bracket
     coefficients.
     """
-    if table is None:
-        table = CONNECTION
     rows = []
     for i in range(3):
         plane = []
@@ -163,13 +162,13 @@ def curvature_from_connection(table=None):
             row = []
             for k in range(3):
                 ek = _basis(k)
-                term1 = _nabla_const(i, _nabla_const(j, ek, table), table)
-                term2 = _nabla_const(j, _nabla_const(i, ek, table), table)
+                term1 = _nabla_const(i, _nabla_const(j, ek))
+                term2 = _nabla_const(j, _nabla_const(i, ek))
                 bracket = BRACKETS[i][j]
                 term3 = [0, 0, 0]
                 for l in range(3):
                     if bracket[l]:
-                        nl = _nabla_const(l, ek, table)
+                        nl = _nabla_const(l, ek)
                         for n in range(3):
                             term3[n] += bracket[l] * nl[n]
                 row.append(tuple(
@@ -180,15 +179,15 @@ def curvature_from_connection(table=None):
     return CurvatureTable(tuple(rows))
 
 
-def metric_compatibility_defect(table=None, metric=METRIC_DIAGONAL):
-    """Max integer defect of metric compatibility for the connection table.
+def metric_compatibility_defect(metric=METRIC_DIAGONAL):
+    """Max integer defect of metric compatibility of :data:`CONNECTION` under
+    the diagonal ``metric``.
 
     For constant metric coefficients compatibility reads
     ``inner(∇_i ej, ek) + inner(ej, ∇_i ek) = 0`` for all i, j, k; the
     returned value is the largest absolute violation (0 means compatible).
     """
-    if table is None:
-        table = CONNECTION
+    table = CONNECTION.coeffs
 
     def m_inner(x, y):
         return sum(metric[n] * x[n] * y[n] for n in range(3))
@@ -197,24 +196,24 @@ def metric_compatibility_defect(table=None, metric=METRIC_DIAGONAL):
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                d = m_inner(table.coeffs[i][j], _basis(k)) + m_inner(
-                    _basis(j), table.coeffs[i][k]
+                d = m_inner(table[i][j], _basis(k)) + m_inner(
+                    _basis(j), table[i][k]
                 )
                 worst = max(worst, abs(d))
     return worst
 
 
-def torsion_defect(table=None):
-    """Max integer defect of torsion-freeness: ``∇_i ej − ∇_j ei − [ei, ej]``."""
-    if table is None:
-        table = CONNECTION
+def torsion_defect():
+    """Max integer defect of torsion-freeness of :data:`CONNECTION`:
+    ``∇_i ej − ∇_j ei − [ei, ej]``."""
+    table = CONNECTION.coeffs
     worst = 0
     for i in range(3):
         for j in range(3):
             for n in range(3):
                 d = (
-                    table.coeffs[i][j][n]
-                    - table.coeffs[j][i][n]
+                    table[i][j][n]
+                    - table[j][i][n]
                     - BRACKETS[i][j][n]
                 )
                 worst = max(worst, abs(d))

@@ -17,12 +17,15 @@ tangent has the hyperbolic-helix form carry a :class:`HelixSpec`, which lets
 downstream layers dispatch to the double-double kernel.
 
 Finite differencing uses order-2 central stencils with Richardson
-extrapolation ``(4·D(h/2) − D(h)) / 3``. An FD-backed curve takes all of its
-derivative orders in one pass per point (:func:`_fd_pass`), calling its
-function at the 29 (coordinate) or 19 (frame) arguments that one stencil per
-order took, in the same order; this cut ``tangent_jets`` from about 111 to
-63 µs a point for a coordinate curve and from 45 to 27 µs for a frame curve
-(``tests/time_kernels.py``, 2-vCPU host).
+extrapolation ``(4·D(h/2) − D(h)) / 3``. A curve without closed-form
+derivatives takes all of its derivative orders in one pass per point
+(:func:`_fd_pass`) over a stencil source: its own function at ``s``, calling
+it at the 29 (coordinate) or 19 (frame) arguments that one stencil per order
+took, in the same order; or, for a sampled curve, the nodes around the node
+``s`` by offset, at 0 with a base step of two spacings. Per point this cut
+``tangent_jets`` from about 111 to 63 µs for an FD coordinate curve, from
+45 to 27 µs for a frame curve, and from about 35 to 18 µs for a sampled
+curve, which finds its node once (``tests/time_kernels.py``, 2-vCPU host).
 
 Every threshold that depends on how a curve is backed is chosen here, from
 the curve alone: :func:`unit_speed_tol`, :func:`geodesic_tol` and
@@ -270,7 +273,7 @@ class CoordinateCurve:
         self.helix = helix
         # finite differences of orders 1-4, when they back the derivatives
         self._fd_jets = (_fd_plan((1, 2, 3, 4), self._fd.step)
-                         if derivative is None and samples is None else None)
+                         if derivative is None else None)
 
     # -- constructors -------------------------------------------------------
 
@@ -312,7 +315,9 @@ class CoordinateCurve:
                     "(spacing %r vs %r at row %d)" % (step, d, i)
                 )
         sampled = _SampleTable(tuple(s_values), tuple(points), d)
-        return cls(sampled.point, derivative=None, fd=None, samples=sampled)
+        # Richardson's half step is one spacing: the stencils ask only for
+        # 0, ±1, ±2 and ±4 spacings, each an exact product
+        return cls(sampled.point, fd=FDConfig(step=2.0 * d), samples=sampled)
 
     # -- basic queries -------------------------------------------------------
 
@@ -328,6 +333,13 @@ class CoordinateCurve:
     def point(self, s):
         return tuple(map(float, self._position(s)))
 
+    def _stencil_source(self, s):
+        """The function finite differences take at ``s``, and its argument:
+        ``point`` at s, or the sample nodes around s by offset, at 0."""
+        if self._samples is None:
+            return self.point, s
+        return self._samples.nodes_around(s), 0.0
+
     def derivative(self, s, order):
         """m-th coordinate derivative, m = 1..4."""
         if order not in (1, 2, 3, 4):
@@ -336,9 +348,8 @@ class CoordinateCurve:
             )
         if self._derivative is not None:
             return tuple(float(c) for c in self._derivative(s, order))
-        if self._samples is not None:
-            return self._samples.derivative(s, order)
-        return fd_derivative(self.point, s, order, self._fd)
+        f, origin = self._stencil_source(s)
+        return fd_derivative(f, origin, order, self._fd)
 
     def tangent(self, s):
         """Frame components of the tangent: ``(x', y', z'/2 + x'·y − x·y')``."""
@@ -348,25 +359,23 @@ class CoordinateCurve:
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives (frame comps)."""
-        pos = self.point(s)
-        if self._fd_jets is not None:
-            derivs = _fd_pass(self.point, s, self._fd_jets)
-        else:
-            derivs = [self.derivative(s, m) for m in (1, 2, 3, 4)]
-        return _tangent_from_coordinate_jets(pos, derivs)
+        if self._fd_jets is None:
+            return _tangent_from_coordinate_jets(
+                self.point(s), [self.derivative(s, m) for m in (1, 2, 3, 4)])
+        f, origin = self._stencil_source(s)
+        return _tangent_from_coordinate_jets(
+            f(origin), _fd_pass(f, origin, self._fd_jets))
 
 
 class _SampleTable:
-    """Uniform-grid samples with stencil derivatives at interior nodes."""
+    """Uniform-grid samples, and the nodes around each interior node that a
+    sampled curve's stencils take."""
 
     def __init__(self, s_values, points, spacing):
         self.s_values = s_values
         self.points = points
         self.spacing = spacing
-        # fd_derivative on the nodes, run at 0: Richardson's half step is one
-        # spacing, so it asks only for 0, ±1, ±2 and ±4 spacings, each an
-        # exact product that maps back to its node offset.
-        self._fd = FDConfig(step=2.0 * spacing)
+        # node offset of each stencil argument k·spacing, |k| <= 4
         self._offsets = {k * spacing: k for k in range(-4, 5)}
 
     def _index(self, s):
@@ -387,7 +396,9 @@ class _SampleTable:
         """(lo, hi) inclusive node-index range where all jets are available."""
         return 4, len(self.s_values) - 5
 
-    def derivative(self, s, order):
+    def nodes_around(self, s):
+        """The function taking ``k·spacing`` to the k-th node from node
+        ``s``, |k| <= 4; raises when s is not a node of the interior."""
         i = self._index(s)
         lo, hi = self.interior_range()
         if not lo <= i <= hi:
@@ -396,8 +407,7 @@ class _SampleTable:
                 "(valid interior is [%d, %d])" % (i, lo, hi)
             )
         points, offsets = self.points, self._offsets
-        return fd_derivative(lambda t: points[i + offsets[t]], 0.0, order,
-                             self._fd)
+        return lambda t: points[i + offsets[t]]
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,9 @@ def _evaluated(pairs, frames=False):
 
 
 def _check_metric_signature(rng):
-    table = _connection.CONNECTION
-    good = _connection.metric_compatibility_defect(table, metric=(1, -1, -1))
-    tors = _connection.torsion_defect(table)
-    flipped = _connection.metric_compatibility_defect(table, metric=(1, 1, -1))
+    good = _connection.metric_compatibility_defect(metric=(1, -1, -1))
+    tors = _connection.torsion_defect()
+    flipped = _connection.metric_compatibility_defect(metric=(1, 1, -1))
     status = _status(good == 0 and tors == 0, erratum=flipped != 0)
     details = (
         "signature (+,-,-): compatibility_defect=%s, torsion_defect=%s (exact); "
@@ -192,8 +191,8 @@ def _check_connection_table(rng):
             want = table.coeffs[i][j]
             if tuple(got) != tuple(float(c) for c in want):
                 kernel_ok = False
-    compat = _connection.metric_compatibility_defect(table)
-    tors = _connection.torsion_defect(table)
+    compat = _connection.metric_compatibility_defect()
+    tors = _connection.torsion_defect()
     ok = exact and kernel_ok and compat == 0 and tors == 0
     status = _status(ok)
     details = (

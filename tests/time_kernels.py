@@ -1,12 +1,14 @@
 """Print the per-call time of each stage of the scalar jet pipeline.
 
-The stages are the finite-difference tangent jets of a coordinate curve and
-of a frame curve, ``project_unit_jets``, ``point_eval`` and ``frenet_jets``.
-Both curves are FD-backed copies (no closed-form derivatives, no
-``HelixSpec``) of a seeded spacelike biharmonic helix; the kernels run on
-the frame curve's jets. The table shows the best of ``--repeat`` passes over
-``--points`` seeded parameters, in microseconds per call. pytest does not
-collect this file (its name does not start with ``test_``).
+The stages are the finite-difference tangent jets of a coordinate curve, of
+a frame curve and of a sampled curve, ``project_unit_jets``, ``point_eval``
+and ``frenet_jets``. The curves are copies of a seeded spacelike biharmonic
+helix without closed-form derivatives or ``HelixSpec``: two FD-backed, and
+one ``from_samples`` table of its coordinates, timed at its interior nodes.
+The kernels run on the frame curve's jets. The table shows the best of
+``--repeat`` passes over ``--points`` seeded parameters (or interior nodes),
+in microseconds per call. pytest does not collect this file (its name does
+not start with ``test_``).
 
 Run from the repository root::
 
@@ -45,6 +47,8 @@ def main(argv=None):
                                                 fd=FDConfig(step=0.01))
     frame = FrameCurve(helix.helix.tangent, fd=FDConfig(step=0.001))
     grid = [rng.uniform(-1.0, 1.0) for _ in range(args.points)]
+    nodes = [-1.0 + 0.005 * i for i in range(args.points + 8)]
+    sampled = CoordinateCurve.from_samples(nodes, map(helix.point, nodes))
     unit_tol = curves.unit_speed_tol(frame)
     geo_tol = curves.geodesic_tol(frame)
     raw = [frame.tangent_jets(s) for s in grid]
@@ -53,6 +57,7 @@ def main(argv=None):
     rows = (
         ("coordinate FD tangent_jets", coordinate.tangent_jets, grid),
         ("frame FD tangent_jets", frame.tangent_jets, grid),
+        ("sampled tangent_jets", sampled.tangent_jets, nodes[4:-4]),
         ("project_unit_jets",
          lambda j: _kernels.project_unit_jets(j, unit_tol), raw),
         ("point_eval", lambda j: _kernels.point_eval(j, geo_tol), projected),
