@@ -28,7 +28,6 @@ Families:
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 
@@ -397,18 +396,51 @@ _GL_TOL = 1e-13
 _GL_MAX_SPLITS = 1000
 
 
-@functools.cache
-def _gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss–Legendre rule on [-1, 1]."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(n)
-    return tuple(zip(nodes.tolist(), weights.tolist()))
+# (node, weight) pairs of the n-point Gauss–Legendre rules on [-1, 1]:
+# NumPy 2.4's leggauss(10) and leggauss(20), written with repr. Those weights
+# are off by up to 7e-14 relative (the nodes by under 1e-16); the values are
+# kept as they are because every β, and so every output byte, depends on them.
+_GL_RULES = {
+    10: (
+        (-0.9739065285171717, 0.06667134430868814),
+        (-0.8650633666889845, 0.1494513491505804),
+        (-0.6794095682990244, 0.219086362515982),
+        (-0.4333953941292472, 0.2692667193099965),
+        (-0.14887433898163122, 0.2955242247147528),
+        (0.14887433898163122, 0.2955242247147528),
+        (0.4333953941292472, 0.2692667193099965),
+        (0.6794095682990244, 0.219086362515982),
+        (0.8650633666889845, 0.1494513491505804),
+        (0.9739065285171717, 0.06667134430868814),
+    ),
+    20: (
+        (-0.993128599185095, 0.017614007139150893),
+        (-0.9639719272779138, 0.040601429800386446),
+        (-0.912234428251326, 0.06267204833410879),
+        (-0.8391169718222188, 0.08327674157670471),
+        (-0.7463319064601508, 0.1019301198172407),
+        (-0.636053680726515, 0.1181945319615186),
+        (-0.5108670019508271, 0.1316886384491769),
+        (-0.37370608871541955, 0.1420961093183824),
+        (-0.22778585114164507, 0.14917298647260424),
+        (-0.07652652113349734, 0.15275338713072628),
+        (0.07652652113349734, 0.15275338713072628),
+        (0.22778585114164507, 0.14917298647260424),
+        (0.37370608871541955, 0.1420961093183824),
+        (0.5108670019508271, 0.1316886384491769),
+        (0.636053680726515, 0.1181945319615186),
+        (0.7463319064601508, 0.1019301198172407),
+        (0.8391169718222188, 0.08327674157670471),
+        (0.912234428251326, 0.06267204833410879),
+        (0.9639719272779138, 0.040601429800386446),
+        (0.993128599185095, 0.017614007139150893),
+    ),
+}
 
 
 def _gl_panel(f, a, b, n):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * math.fsum(w * f(mid + half * x) for x, w in _gauss_legendre(n))
+    return half * math.fsum(w * f(mid + half * x) for x, w in _GL_RULES[n])
 
 
 def _integrate(f, a, b):

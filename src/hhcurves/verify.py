@@ -24,7 +24,12 @@ connection, closed-form family constants are compared against the direct
 covariant jet chain, and the Frenet-form bitension is cross-validated against
 it. Randomized sweeps draw from a per-check generator seeded as
 ``[seed, registry_index]``, so two runs with the same seed produce
-byte-identical reports.
+byte-identical reports. The generator is a pure-Python PCG64 stream that
+reproduces ``numpy.random.default_rng([seed, registry_index])`` bit for bit
+(``SeedSequence`` seeding, XSL-RR output, NumPy's ``uniform`` and bounded
+``integers``), so a report does not depend on the installed NumPy and the
+checks never import ``numpy.random``. Only ``cross-properties`` and the
+helix grid pass import NumPy.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ class VerifyConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or self.seed < 0):
             raise InvalidInputError(
                 "seed must be a non-negative integer, got %r" % (self.seed,)
             )
@@ -144,6 +150,115 @@ def _det3(x, y, z):
 
 def _vdiff(u, v):
     return max(abs(u[i] - v[i]) for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# The seeded stream: numpy.random.default_rng(entropy), bit for bit, for the
+# two draws the checks take. NumPy's Generator does not promise the same
+# stream across releases, and importing numpy.random costs about 6 MB.
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(entropy):
+    """``SeedSequence(entropy).generate_state(4, numpy.uint64)`` as Python
+    ints: each non-negative int becomes its 32-bit words, low word first
+    (``[0]`` for zero), mixed into a pool of four words."""
+    words = []
+    for n in entropy:
+        words.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = (const * 0x931E8875) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = (const * 0x58F38DED) & _M32
+        value = (value * const) & _M32
+        out.append(value ^ (value >> 16))
+    return [out[i] | out[i + 1] << 32 for i in (0, 2, 4, 6)]
+
+
+class _Stream:
+    """``numpy.random.default_rng(entropy)``'s PCG64 stream (XSL-RR output)
+    with its ``uniform`` and ``integers(low, high, size)``, bit for bit; a
+    sized draw returns a list."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, entropy):
+        s0, s1, i0, i1 = _seed_state(entropy)
+        # pcg64_srandom_r: step from state 0, add the seed, step again
+        self._inc = inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self._state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+        self._half = None  # NumPy's buffered upper 32 bits (has_uint32)
+
+    def _next64(self, count):
+        """The next ``count`` 64-bit outputs: step the 128-bit LCG, then
+        rotate the xor of its halves right by its top 6 bits."""
+        mult, inc, state = _PCG_MULT, self._inc, self._state
+        out = []
+        for _ in range(count):
+            state = (state * mult + inc) & _M128
+            x = ((state >> 64) ^ state) & _M64
+            out.append(((x << 64 | x) >> (state >> 122)) & _M64)
+        self._state = state
+        return out
+
+    def _next32(self):
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        (x,) = self._next64(1)
+        self._half = x >> 32
+        return x & _M32
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        span = high - low
+        out = [low + span * ((x >> 11) * 2.0 ** -53)
+               for x in self._next64(1 if size is None else size)]
+        return out[0] if size is None else out
+
+    def integers(self, low, high, size=None):
+        """Lemire's bounded method on 32-bit halves, low half first; needs
+        ``2 <= high - low < 2**32``."""
+        span = high - low
+        if not 2 <= span <= _M32:
+            raise ValueError("integers needs 2 <= high - low < 2**32")
+        threshold = (2**32 - span) % span
+        out = []
+        for _ in range(1 if size is None else size):
+            m = self._next32() * span
+            while m & _M32 < threshold:
+                m = self._next32() * span
+            out.append(low + (m >> 32))
+        return out[0] if size is None else out
 
 
 def _evaluated(pairs, frames=False):
@@ -244,7 +359,8 @@ def _check_cross_properties(rng):
     # triples would take in turn: x, y, z, then a and b.
     n_real = 1000
     x, y, z, (a,), (b,) = np.split(
-        rng.uniform(-1.0, 1.0, (n_real, 11)).T.copy(), [3, 6, 9, 10])
+        np.array(rng.uniform(-1.0, 1.0, n_real * 11)).reshape(n_real, 11).T
+        .copy(), [3, 6, 9, 10])
     cxy, cyz, czx = cross(x, y), cross(y, z), cross(z, x)
     gxz, gyz = inner(x, z), inner(y, z)
     m = inner(cxy, z)  # mixed(x, y, z)
@@ -271,7 +387,8 @@ def _check_cross_properties(rng):
         and tuple(_frame.cross(e2, e3)) == (-1.0, 0.0, 0.0)
         and tuple(_frame.cross(e3, e1)) == (0.0, 1.0, 0.0)
     )
-    x, y, z = np.split(rng.integers(-3, 4, (50, 9)).T.astype(float), 3)
+    x, y, z = np.split(
+        np.array(rng.integers(-3, 4, 50 * 9), dtype=float).reshape(50, 9).T, 3)
     cxy = np.array(cross(x, y))
     gxz, gyz = inner(x, z), inner(y, z)
     int_ok = bool(
@@ -371,9 +488,9 @@ def _check_bitension_conditions(rng):
     ]
     helices = []
     for _ in range(40):
-        tilt = float(rng.uniform(-1.0, 1.0))
-        phase = float(rng.uniform(-1.0, 1.0))
-        slope = float(rng.uniform(-3.0, 3.0))
+        tilt = rng.uniform(-1.0, 1.0)
+        phase = rng.uniform(-1.0, 1.0)
+        slope = rng.uniform(-3.0, 3.0)
         kind = "spacelike" if rng.uniform() < 0.5 else "timelike"
         if kind == "timelike":
             tilt = math.copysign(max(abs(tilt), 0.3), tilt if tilt else 1.0)
@@ -408,7 +525,7 @@ def _check_bitension_conditions(rng):
     for _ in range(100):
         e1s = 1.0 if rng.uniform() < 0.5 else -1.0
         e3s = 1.0 if rng.uniform() < 0.5 else -1.0
-        b3 = float(rng.uniform(-2.0, 2.0))
+        b3 = rng.uniform(-2.0, 2.0)
         k1sq = e1s * (e3s + 4.0 * b3 * b3)
         if k1sq <= 0.0:
             continue
@@ -444,8 +561,8 @@ def _family_sweep(rng, shapes, maker, kind, eps_want):
     cases = []
     for shape in shapes:
         for branch in (1, -1):
-            phase = float(rng.uniform(-1.0, 1.0))
-            offsets = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 3))
+            phase = rng.uniform(-1.0, 1.0)
+            offsets = tuple(rng.uniform(-1.0, 1.0, 3))
             curve = maker(shape, branch=branch, phase=phase, offsets=offsets)
             printed = maker(shape, branch=branch, phase=phase,
                             offsets=offsets, as_printed=True)
@@ -526,9 +643,9 @@ def _check_timelike_family(rng):
 def _seeded_b3zero_curves(rng, count):
     curves = []
     for i in range(count):
-        p = float(rng.uniform(0.3, 1.0))
-        q = float(rng.uniform(0.3, 0.9))
-        w = float(rng.uniform(0.5, 1.4))
+        p = rng.uniform(0.3, 1.0)
+        q = rng.uniform(0.3, 0.9)
+        w = rng.uniform(0.5, 1.4)
         kind = "b3zero-spacelike" if i % 2 == 0 else "b3zero-timelike"
         if i % 4 < 2:
             curves.append(_families.make_b3zero_linear(kind, p, q, (0.0, 1.0)))
@@ -596,11 +713,11 @@ def _check_helix_lemma(rng):
     lemma = []
     for _ in range(35):
         kind = "spacelike" if rng.uniform() < 0.5 else "timelike"
-        tilt = float(rng.uniform(-1.0, 1.0))
+        tilt = rng.uniform(-1.0, 1.0)
         if kind == "timelike":
             tilt = math.copysign(max(abs(tilt), 0.3), tilt if tilt else 1.0)
-        slope = float(rng.uniform(-3.0, 3.0))
-        phase = float(rng.uniform(-1.0, 1.0))
+        slope = rng.uniform(-3.0, 3.0)
+        phase = rng.uniform(-1.0, 1.0)
         if _helix_lemma(kind, tilt, slope)[1] < 0.2:
             slope += 1.5
         amp, k1_want, k2_want = _helix_lemma(kind, tilt, slope)
@@ -608,8 +725,8 @@ def _check_helix_lemma(rng):
                       k1_want, k2_want, amp))
     flat = []
     for _ in range(10):
-        theta = float(rng.uniform(-0.6, 0.6))
-        slope = math.copysign(float(rng.uniform(0.5, 2.5)),
+        theta = rng.uniform(-0.6, 0.6)
+        slope = math.copysign(rng.uniform(0.5, 2.5),
                               rng.uniform(-1.0, 1.0))
         _, k1, k2_want = _helix_lemma("timelike-flat", theta, slope)
         if k1 < 0.2:
@@ -816,10 +933,8 @@ def registry_ids():
 
 
 def _run_one(index, cfg):
-    import numpy as np  # imported on first use: the CLI starts without it
-
     claim_id, anchor, fn, _ = _REGISTRY[index]
-    rng = np.random.default_rng([cfg.seed, index])
+    rng = _Stream([cfg.seed, index])
     try:
         status, residual, details = fn(rng)
     except Exception as exc:  # failures become report rows, not exceptions

@@ -701,6 +701,44 @@ class TestImport:
         assert proc.stdout.startswith("s,k1,")
         assert proc.stderr == "False 0\n"
 
+    @staticmethod
+    def _stderr_after(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    @pytest.mark.parametrize("claim", ["metric-signature", "b3zero-signs"])
+    def test_single_claims_leave_numpy_unloaded(self, claim):
+        err = self._stderr_after(
+            "import sys; from hhcurves import cli; "
+            "code = cli.main(['verify', '--claim', %r]); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)" % claim)
+        assert err == "0 False\n"
+
+    def test_b3zero_quadrature_leaves_numpy_unloaded(self):
+        # beta=None: β comes from the Gauss–Legendre panels
+        err = self._stderr_after(
+            "import sys; import hhcurves as hh; "
+            "curve = hh.make_b3zero_curve('b3zero-spacelike', "
+            "hh.sine_profile(0.5, 0.8, 3.0), (0.0, 1.0)); "
+            "curve.tangent_jets(0.6); "
+            "print('numpy' in sys.modules, file=sys.stderr)")
+        assert err == "False\n"
+
+    def test_verify_loads_neither_numpy_random_nor_polynomial(self):
+        err = self._stderr_after(
+            "import sys; from hhcurves import cli; "
+            "code = cli.main(['verify', '--seed', '7']); "
+            "print(code, sorted(m for m in sys.modules if m.startswith("
+            "('numpy.random', 'numpy.polynomial'))), file=sys.stderr)")
+        assert err == "0 []\n"
+
     def test_verify_runs_with_scipy_blocked(self, capsys):
         # a None entry in sys.modules makes every scipy import fail
         proc = subprocess.run(

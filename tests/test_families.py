@@ -328,6 +328,14 @@ class TestB3ZeroCurves:
 class TestBetaQuadrature:
     """β from the Gauss–Legendre panels against mpmath at 40 digits."""
 
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_rules_are_leggauss_bit_for_bit(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(n)
+        assert families._GL_RULES[n] == tuple(
+            zip(nodes.tolist(), weights.tolist()))
+
     @staticmethod
     def _assert_beta(kind, p, q, w, s0, s, breaks=1):
         """Profile p + q·sin(w·t), or p + q·t when w is None."""

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hhcurves.biharmonic
 import hhcurves.connection
@@ -20,9 +22,14 @@ from hhcurves import (
     run_all,
     verify_claim,
 )
+from hhcurves.verify import _Stream
 
 from cross_properties_loop import check_cross_properties
 from evaluation_routes import per_point_route
+
+# the bounds of every uniform draw the checks take
+UNIFORM_BOUNDS = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0),
+                  (0.3, 1.0), (0.3, 0.9), (0.5, 1.4), (-0.6, 0.6), (0.5, 2.5))
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +119,58 @@ class TestDeterminism:
         assert worst == residual
 
 
+def _assert_same_draws(entropy):
+    """Scalar and sized uniform draws at every bound the checks use, then
+    integers(-3, 4, n) for odd and even n between uniform draws."""
+    ours, numpy_rng = _Stream(entropy), np.random.default_rng(entropy)
+    for low, high in UNIFORM_BOUNDS:
+        assert ours.uniform(low, high) == numpy_rng.uniform(low, high)
+        assert ours.uniform(low, high, 3) == (
+            numpy_rng.uniform(low, high, 3).tolist())
+    assert ours.uniform() == numpy_rng.uniform()
+    for n in (1, 4, 7, 50, 451):
+        assert ours.integers(-3, 4, n) == numpy_rng.integers(-3, 4, n).tolist()
+        assert ours.uniform(-1.0, 1.0) == numpy_rng.uniform(-1.0, 1.0)
+    assert ours.integers(-3, 4) == numpy_rng.integers(-3, 4)
+    # a range that rejects about one draw in four
+    assert ours.integers(0, 3 << 30, 40) == (
+        numpy_rng.integers(0, 3 << 30, 40).tolist())
+    assert ours.uniform(-1.0, 1.0, 11) == (
+        numpy_rng.uniform(-1.0, 1.0, 11).tolist())
+
+
+class TestStream:
+    """The checks' seeded draws equal numpy.random.default_rng's, bit for
+    bit; NumPy serves here only as the reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5,
+                                      2**70])
+    def test_registry_seeds_match_default_rng(self, seed):
+        for index in range(13):
+            _assert_same_draws([seed, index])
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=100)
+    @given(seed=st.integers(min_value=0, max_value=2**100),
+           index=st.integers(min_value=0, max_value=12))
+    def test_swept_seeds_match_default_rng(self, seed, index):
+        _assert_same_draws([seed, index])
+
+    def test_cross_properties_draws_match_default_rng(self):
+        # the one large draw: 1000 rows of 11, then 50 rows of 9 integers
+        ours = _Stream([7, 3])
+        numpy_rng = np.random.default_rng([7, 3])
+        assert ours.uniform(-1.0, 1.0, 11000) == (
+            numpy_rng.uniform(-1.0, 1.0, (1000, 11)).ravel().tolist())
+        assert ours.integers(-3, 4, 450) == (
+            numpy_rng.integers(-3, 4, (50, 9)).ravel().tolist())
+
+    def test_unsupported_integer_range_rejected(self):
+        for low, high in ((0, 1), (0, 2**32 + 1), (4, -3)):
+            with pytest.raises(ValueError):
+                _Stream([7, 0]).integers(low, high, 3)
+
+
 class TestReportSchema:
     def test_json_round_trip(self, report):
         payload = json.loads(report.to_json())
@@ -140,6 +199,12 @@ class TestConfig:
     def test_bad_seed_rejected(self):
         with pytest.raises(InvalidInputError):
             VerifyConfig(seed="seven")
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected(self, seed):
+        # a bool is an int, but its report would read "seed": true
+        with pytest.raises(InvalidInputError):
+            VerifyConfig(seed=seed)
 
     def test_negative_seed_rejected(self):
         # numpy's generators take only non-negative seeds

@@ -1,8 +1,10 @@
 """Print the in-process time of each ``verify`` registry check.
 
 Each check runs through ``verify.verify_claim`` with the given seed; the
-table shows the best of ``--repeat`` runs per check and their total. pytest
-does not collect this file (its name does not start with ``test_``).
+table shows the best of ``--repeat`` runs per check and their total, then
+the process's peak resident memory (``ru_maxrss``) and the ``numpy``
+modules the run loaded. pytest does not collect this file (its name does not
+start with ``test_``).
 
 Run from the repository root::
 
@@ -10,6 +12,8 @@ Run from the repository root::
 """
 
 import argparse
+import resource
+import sys
 import time
 
 from hhcurves import verify
@@ -34,6 +38,13 @@ def main(argv=None):
         total += best
         print("%-34s %10.4f" % (claim_id, best))
     print("%-34s %10.4f" % ("total", total))
+    # ru_maxrss is in KiB on Linux
+    print("peak RSS: %.1f MB" % (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
+    loaded = sorted({m.split(".")[1] for m in sys.modules
+                     if m.startswith("numpy.")})
+    print("numpy loaded: %s; submodules: %s" % (
+        "numpy" in sys.modules, ", ".join(loaded) or "none"))
 
 
 if __name__ == "__main__":
