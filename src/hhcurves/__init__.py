@@ -25,201 +25,138 @@ frame. The package provides:
 
 The numerical kernels are written in Python (with NumPy for whole helix
 grids); :data:`BACKEND` names them, and is always ``"pure"``.
+
+``import hhcurves`` loads none of these modules. Each public name of the
+package loads the module that defines it on first use (PEP 562), and is
+looked up there on every access, so ``hhcurves.X`` is always the object
+``hhcurves.<module>.X`` holds at that moment. A caller that only sweeps a
+finite-difference curve never loads the claim registry (``verify``) or the
+exact tables (``connection``, with ``fractions``).
 """
 
-from ._kernels import BACKEND
-from .errors import (
-    DegenerateGeodesicError,
-    GeodesicDegenerateError,
-    HHCurvesError,
-    InvalidInputError,
-    MixedCausalityError,
-    NullNormalDegenerateError,
-    NumericOverflowError,
-    UnitSpeedError,
-)
-from .frame import (
-    DEFAULT_CAUSAL_TOL,
-    E1,
-    E2,
-    E3,
-    CausalCharacter,
-    FrameVector,
-    causal_character,
-    cross,
-    inner,
-    mixed,
-)
-from .connection import (
-    BRACKETS,
-    CONNECTION,
-    CURVATURE,
-    METRIC_DIAGONAL,
-    ConnectionTable,
-    CurvatureTable,
-    connection_from_brackets,
-    covariant_derivative_along,
-    curvature,
-    curvature_from_connection,
-    metric_compatibility_defect,
-    riemann_christoffel,
-    torsion_defect,
-)
-from .curves import (
-    CoordinateCurve,
-    FDConfig,
-    FrameCurve,
-    HelixSpec,
-    causal_character_of_curve,
-    check_unit_speed,
-    fd_derivative,
-    integrate_frame_curve,
-    is_horizontal,
-    read_curve_csv,
-    vertical_momentum,
-)
-from .frenet import (
-    DEFAULT_GEO_TOL_ANALYTIC,
-    DEFAULT_GEO_TOL_FD,
-    ExtendedFrenetData,
-    FrenetData,
-    FrenetGridSummary,
-    compute_frenet,
-    extended_frenet,
-    frenet_over_grid,
-)
-from .biharmonic import (
-    DEFAULT_VERDICT_TOL_ANALYTIC,
-    DEFAULT_VERDICT_TOL_SAMPLED,
-    BiharmonicReport,
-    bitension_direct,
-    bitension_frenet,
-    bitension_frenet_at,
-    check_biharmonic_conditions,
-    identity_defect,
-    residual_norms,
-)
-from .families import (
-    FamilyKind,
-    linear_profile,
-    make_b3zero_curve,
-    make_b3zero_linear,
-    make_geodesic,
-    make_helix,
-    make_spacelike_biharmonic,
-    make_spacelike_horizontal,
-    make_timelike_biharmonic,
-    make_timelike_horizontal_helix,
-    sine_profile,
-    solve_slope,
-)
-from .verify import (
-    EXPECTED_STATUS,
-    STATUS_CONFIRMED,
-    STATUS_CONFIRMED_WITH_ERRATUM,
-    STATUS_REFUTED_AS_PRINTED,
-    STATUS_ERROR,
-    CheckResult,
-    VerificationReport,
-    VerifyConfig,
-    registry_ids,
-    run_all,
-    verify_claim,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BACKEND",
-    # errors
-    "HHCurvesError",
-    "InvalidInputError",
-    "DegenerateGeodesicError",
-    "GeodesicDegenerateError",
-    "NullNormalDegenerateError",
-    "UnitSpeedError",
-    "MixedCausalityError",
-    "NumericOverflowError",
-    # frame
-    "CausalCharacter",
-    "FrameVector",
-    "E1",
-    "E2",
-    "E3",
-    "inner",
-    "cross",
-    "mixed",
-    "causal_character",
-    "DEFAULT_CAUSAL_TOL",
-    # connection
-    "ConnectionTable",
-    "CurvatureTable",
-    "METRIC_DIAGONAL",
-    "BRACKETS",
-    "CONNECTION",
-    "CURVATURE",
-    "connection_from_brackets",
-    "curvature_from_connection",
-    "metric_compatibility_defect",
-    "torsion_defect",
-    "covariant_derivative_along",
-    "curvature",
-    "riemann_christoffel",
-    # curves
-    "FDConfig",
-    "HelixSpec",
-    "CoordinateCurve",
-    "FrameCurve",
-    "fd_derivative",
-    "read_curve_csv",
-    "integrate_frame_curve",
-    "is_horizontal",
-    "causal_character_of_curve",
-    "check_unit_speed",
-    "vertical_momentum",
-    # frenet
-    "FrenetData",
-    "ExtendedFrenetData",
-    "FrenetGridSummary",
-    "compute_frenet",
-    "extended_frenet",
-    "frenet_over_grid",
-    "DEFAULT_GEO_TOL_ANALYTIC",
-    "DEFAULT_GEO_TOL_FD",
-    # biharmonic
-    "BiharmonicReport",
-    "bitension_direct",
-    "bitension_frenet_at",
-    "bitension_frenet",
-    "residual_norms",
-    "check_biharmonic_conditions",
-    "identity_defect",
-    "DEFAULT_VERDICT_TOL_ANALYTIC",
-    "DEFAULT_VERDICT_TOL_SAMPLED",
-    # families
-    "FamilyKind",
-    "solve_slope",
-    "make_spacelike_biharmonic",
-    "make_timelike_biharmonic",
-    "make_spacelike_horizontal",
-    "make_b3zero_curve",
-    "make_b3zero_linear",
-    "make_timelike_horizontal_helix",
-    "make_helix",
-    "make_geodesic",
-    "linear_profile",
-    "sine_profile",
-    # verify
-    "STATUS_CONFIRMED",
-    "STATUS_CONFIRMED_WITH_ERRATUM",
-    "STATUS_REFUTED_AS_PRINTED",
-    "STATUS_ERROR",
-    "EXPECTED_STATUS",
-    "VerifyConfig",
-    "CheckResult",
-    "VerificationReport",
-    "registry_ids",
-    "run_all",
-    "verify_claim",
-]
+# Each submodule and the public names the package re-exports from it.
+_EXPORTS = {
+    "_kernels": ("BACKEND",),
+    "errors": (
+        "HHCurvesError",
+        "InvalidInputError",
+        "DegenerateGeodesicError",
+        "GeodesicDegenerateError",
+        "NullNormalDegenerateError",
+        "UnitSpeedError",
+        "MixedCausalityError",
+        "NumericOverflowError",
+    ),
+    "frame": (
+        "CausalCharacter",
+        "FrameVector",
+        "E1",
+        "E2",
+        "E3",
+        "inner",
+        "cross",
+        "mixed",
+        "causal_character",
+        "DEFAULT_CAUSAL_TOL",
+    ),
+    "connection": (
+        "ConnectionTable",
+        "CurvatureTable",
+        "METRIC_DIAGONAL",
+        "BRACKETS",
+        "CONNECTION",
+        "CURVATURE",
+        "connection_from_brackets",
+        "curvature_from_connection",
+        "metric_compatibility_defect",
+        "torsion_defect",
+        "covariant_derivative_along",
+        "curvature",
+        "riemann_christoffel",
+    ),
+    "curves": (
+        "FDConfig",
+        "HelixSpec",
+        "CoordinateCurve",
+        "FrameCurve",
+        "fd_derivative",
+        "read_curve_csv",
+        "integrate_frame_curve",
+        "is_horizontal",
+        "causal_character_of_curve",
+        "check_unit_speed",
+        "vertical_momentum",
+    ),
+    "frenet": (
+        "FrenetData",
+        "ExtendedFrenetData",
+        "FrenetGridSummary",
+        "compute_frenet",
+        "extended_frenet",
+        "frenet_over_grid",
+        "DEFAULT_GEO_TOL_ANALYTIC",
+        "DEFAULT_GEO_TOL_FD",
+    ),
+    "biharmonic": (
+        "BiharmonicReport",
+        "bitension_direct",
+        "bitension_frenet_at",
+        "bitension_frenet",
+        "residual_norms",
+        "check_biharmonic_conditions",
+        "identity_defect",
+        "DEFAULT_VERDICT_TOL_ANALYTIC",
+        "DEFAULT_VERDICT_TOL_SAMPLED",
+    ),
+    "families": (
+        "FamilyKind",
+        "solve_slope",
+        "make_spacelike_biharmonic",
+        "make_timelike_biharmonic",
+        "make_spacelike_horizontal",
+        "make_b3zero_curve",
+        "make_b3zero_linear",
+        "make_timelike_horizontal_helix",
+        "make_helix",
+        "make_geodesic",
+        "linear_profile",
+        "sine_profile",
+    ),
+    "verify": (
+        "STATUS_CONFIRMED",
+        "STATUS_CONFIRMED_WITH_ERRATUM",
+        "STATUS_REFUTED_AS_PRINTED",
+        "STATUS_ERROR",
+        "EXPECTED_STATUS",
+        "VerifyConfig",
+        "CheckResult",
+        "VerificationReport",
+        "registry_ids",
+        "run_all",
+        "verify_claim",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name):
+    # Not stored in the globals: a name is read from its module each time,
+    # so it follows any later rebinding there.
+    module = _OWNER.get(name)
+    if module is not None:
+        return getattr(importlib.import_module("." + module, __name__), name)
+    if name in _EXPORTS:
+        # importing a submodule binds it in the package namespace
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

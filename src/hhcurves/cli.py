@@ -22,9 +22,11 @@ a family flag the chosen family does not take, a non-finite family value, or
 arithmetic that overflows on the requested range), 3 output I/O failure.
 Every error path prints a single ``error: ...`` line to stderr. All
 configuration is by flags; no environment variables or config files are
-consulted. File output is atomic (temp file + rename) and uses fixed
-17-significant-digit, locale-independent float formatting, so repeated runs
-produce identical bytes.
+consulted. Output to a new path or a regular file is atomic (temp file +
+rename); any other existing target, such as a FIFO or a device, is written
+in place and never replaced. Output uses fixed 17-significant-digit,
+locale-independent float formatting, so repeated runs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -81,6 +84,9 @@ _DEFAULT_RANGE = "-2:2:0.01"
 _MAX_INTEGRATION_STEP = 1e-3
 _MAX_INTEGRATION_STEPS = 100_000
 
+# The most s-grid nodes --range may ask for; checked before the grid is built.
+_MAX_GRID_NODES = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Small helpers
@@ -93,12 +99,21 @@ def _fmt(value):
 
 
 def _write_text(path, text):
-    """Write text to `path` atomically, or to stdout when path is '-'."""
+    """Write text to stdout when path is '-'; to `path` in place when it
+    exists and is not a regular file (a FIFO, a device); else atomically."""
     if path == "-":
         sys.stdout.write(text)
         sys.stdout.flush()
         return
     target = os.path.abspath(path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(target).st_mode)
+    except OSError:
+        in_place = False
+    if in_place:
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
     directory = os.path.dirname(target) or "."
     fd, tmp = tempfile.mkstemp(prefix=".hhcurves-", suffix=".part", dir=directory)
     try:
@@ -149,7 +164,12 @@ def _parse_range(text):
         raise InvalidInputError(
             "range stop must exceed start, got %r" % (text,)
         )
-    n = round((stop - start) / step)
+    count = (stop - start) / step
+    if count + 1 > _MAX_GRID_NODES:
+        raise InvalidInputError(
+            "range %r has more than %d nodes" % (text, _MAX_GRID_NODES)
+        )
+    n = round(count)
     if n < 1 or abs(n * step - (stop - start)) > 1e-9 * max(1.0, abs(stop - start)):
         raise InvalidInputError(
             "range step %r does not divide [%r, %r]" % (step, start, stop)

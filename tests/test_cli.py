@@ -1,11 +1,13 @@
 """Command-line interface: schemas, exit codes, determinism, atomic output."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import shutil
 import site
+import stat
 import subprocess
 import sys
 import venv
@@ -13,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import hhcurves
 from hhcurves import FamilyKind
-from hhcurves.cli import build_parser, main
+from hhcurves.cli import _MAX_GRID_NODES, _parse_range, build_parser, main
+from hhcurves.errors import InvalidInputError
 
 HORIZONTAL_K1 = 2.0
 
@@ -154,6 +158,14 @@ class TestGenerate:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_range_node_cap(self):
+        # checked on the node count alone, before any grid is built
+        top = "1:%d:1" % _MAX_GRID_NODES
+        assert _parse_range(top)[3] == _MAX_GRID_NODES - 1
+        for text in ("0:%d:1" % _MAX_GRID_NODES, "0:1e12:1", "0:1e300:1e-300"):
+            with pytest.raises(InvalidInputError, match="more than"):
+                _parse_range(text)
 
     def test_wrong_format_rejected(self, capsys):
         # there is no --format flag: every output has one fixed format
@@ -549,6 +561,23 @@ class TestOutputHandling:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".part")]
         assert leftovers == []
 
+    def test_fifo_output_is_written_in_place(self, capsys, tmp_path):
+        argv = ["verify", "--claim", "metric-signature"]
+        _, report, _ = run_cli(argv, capsys)
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        # a reader must be open, or opening the FIFO for writing blocks
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run_cli(argv + ["-o", str(fifo)], capsys)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received.decode("utf-8") == report
+        assert os.listdir(tmp_path) == ["report.fifo"]
+
     def test_unwritable_output_exits_three(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         code, _, err = run_cli(
@@ -637,6 +666,28 @@ def installed_copy(tmp_path_factory):
     return tree, bin_dir
 
 
+# FD sweeps through the package names only, as a library caller writes them
+_FD_SWEEPS = (
+    "import math, sys\n"
+    "import hhcurves as hh\n"
+    "def tangent(s):\n"
+    "    return (math.cosh(0.5 * s), math.sinh(0.5 * s), 0.0)\n"
+    "def position(s):\n"
+    "    return (2.0 * math.sinh(0.5 * s), 2.0 * math.cosh(0.5 * s),"
+    " -4.0 * s)\n"
+    "grid = [0.05 * k for k in range(-20, 21)]\n"
+    "for curve in (hh.FrameCurve(tangent, fd=hh.FDConfig(step=1e-3)),\n"
+    "              hh.CoordinateCurve.from_functions(\n"
+    "                  position, fd=hh.FDConfig(step=1e-2))):\n"
+    "    hh.check_biharmonic_conditions(curve, grid)\n"
+    "    hh.frenet_over_grid(curve, grid)\n"
+)
+
+# The submodules that resolve as attributes of the package
+_SUBMODULES = ("errors", "frame", "connection", "curves", "frenet",
+               "biharmonic", "families", "verify", "_kernels")
+
+
 class TestImport:
     def test_cli_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
@@ -652,31 +703,9 @@ class TestImport:
         assert proc.stdout == "False False\n"
 
     def test_fd_sweeps_leave_numpy_unloaded(self):
-        code = (
-            "import math, sys\n"
-            "import hhcurves as hh\n"
-            "def tangent(s):\n"
-            "    return (math.cosh(0.5 * s), math.sinh(0.5 * s), 0.0)\n"
-            "def position(s):\n"
-            "    return (2.0 * math.sinh(0.5 * s), 2.0 * math.cosh(0.5 * s),"
-            " -4.0 * s)\n"
-            "grid = [0.05 * k for k in range(-20, 21)]\n"
-            "for curve in (hh.FrameCurve(tangent, fd=hh.FDConfig(step=1e-3)),\n"
-            "              hh.CoordinateCurve.from_functions(\n"
-            "                  position, fd=hh.FDConfig(step=1e-2))):\n"
-            "    hh.check_biharmonic_conditions(curve, grid)\n"
-            "    hh.frenet_over_grid(curve, grid)\n"
-            "print('numpy' in sys.modules)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        err = self._stderr_after(
+            _FD_SWEEPS + "print('numpy' in sys.modules, file=sys.stderr)\n")
+        assert err == "False\n"
 
     def test_frenet_input_leaves_numpy_unloaded(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"
@@ -700,6 +729,56 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("s,k1,")
         assert proc.stderr == "False 0\n"
+
+    def test_package_import_loads_no_submodule(self):
+        err = self._stderr_after(
+            "import sys, hhcurves; "
+            "print(sorted(m for m in sys.modules if m.startswith('hhcurves.')),"
+            " file=sys.stderr)")
+        assert err == "[]\n"
+
+    def test_fd_sweeps_load_neither_registry_nor_exact_tables(self):
+        err = self._stderr_after(
+            _FD_SWEEPS + "print(sorted(m for m in ('hhcurves.verify', "
+            "'hhcurves.connection', 'hhcurves.families', 'fractions') "
+            "if m in sys.modules), file=sys.stderr)\n")
+        assert err == "[]\n"
+
+    def test_reexports_resolve_to_submodule_objects(self):
+        for name in hhcurves.__all__[1:]:
+            value = getattr(hhcurves, name)
+            owners = [m for m in _SUBMODULES
+                      if getattr(getattr(hhcurves, m), name, None) is value]
+            assert owners, name
+        assert hhcurves.__all__[0] == "__version__"
+        assert set(hhcurves.__all__) <= set(dir(hhcurves))
+        assert set(_SUBMODULES) <= set(dir(hhcurves))
+        namespace = {}
+        exec("from hhcurves import *", namespace)
+        for name in hhcurves.__all__:
+            assert namespace[name] is getattr(hhcurves, name)
+        for name in _SUBMODULES:
+            assert getattr(hhcurves, name) is sys.modules["hhcurves." + name]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hhcurves.no_such_name
+
+    def test_names_read_under_the_tracer_are_restored(self):
+        # The benchmark's tracer patches submodule attributes and restores
+        # the package names it saved. A name first read while it is
+        # installed must not keep the wrapper once it is restored.
+        err = self._stderr_after(
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "import hhcurves, tracing\n"
+            "restore = tracing.install(tracing.Tracer())\n"
+            "during = {n: getattr(hhcurves, n) for n in hhcurves.__all__}\n"
+            "restore()\n"
+            "wrapped = [n for n in during if hasattr(during[n], '__wrapped__')]\n"
+            "kept = [n for n in wrapped\n"
+            "        if getattr(hhcurves, n) is not during[n].__wrapped__]\n"
+            "print('check_biharmonic_conditions' in wrapped, kept,"
+            " file=sys.stderr)\n" % str(REPO_ROOT / "perfbench"))
+        assert err == "True []\n"
 
     @staticmethod
     def _stderr_after(code):
