@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from hhcurves import frenet as _frenet
-from hhcurves._kernels import pure as _pure
+from hhcurves._kernels import _tau_from_frenet
 from hhcurves.curves import (
     DEFAULT_VERDICT_TOL_ANALYTIC,
     DEFAULT_VERDICT_TOL_SAMPLED,
@@ -92,7 +92,7 @@ def bitension_frenet(ext):
     This is the pure double-precision recombination; it matches
     :func:`bitension_frenet_at` up to rounding of the stored Frenet data.
     """
-    return FrameVector(*_pure._tau_from_frenet(_frenet.flat_from_extended(ext)))
+    return FrameVector(*_tau_from_frenet(_frenet.flat_from_extended(ext)))
 
 
 def identity_defect(k1, k2, eps1, eps3, b3):

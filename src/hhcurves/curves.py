@@ -39,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from hhcurves import frame as _frame
-from hhcurves._kernels.pure import _two_sum
+from hhcurves._kernels import _two_sum
 from hhcurves.errors import (
     InvalidInputError,
     MixedCausalityError,
@@ -78,8 +78,8 @@ class FDConfig:
     step: float = 1e-4
 
     def __post_init__(self):
-        if not (isinstance(self.step, (int, float)) and math.isfinite(self.step)
-                and self.step > 0):
+        if (not isinstance(self.step, (int, float)) or isinstance(self.step, bool)
+                or not (math.isfinite(self.step) and self.step > 0)):
             raise InvalidInputError(
                 "FD step must be a finite positive real, got %r" % (self.step,)
             )
@@ -106,6 +106,10 @@ class HelixSpec:
     phase: float = 0.0
 
     def __post_init__(self):
+        if type(self.form) is not int or self.form not in (0, 1):
+            raise InvalidInputError(
+                "helix form must be the int 0 or 1, got %r" % (self.form,)
+            )
         values = (self.amp, self.tilt, self.slope_hi, self.slope_lo, self.phase)
         if not all(math.isfinite(v) for v in values):
             raise InvalidInputError(
@@ -287,8 +291,8 @@ class CoordinateCurve:
     def from_samples(cls, s_values, points):
         """Uniform-grid backing from parallel sequences of s and (x, y, z).
 
-        Requires strictly increasing, uniformly spaced ``s_values`` (relative
-        tolerance 1e-9) with at least two nodes.
+        Requires finite samples and strictly increasing, uniformly spaced
+        ``s_values`` (relative tolerance 1e-9) with at least two nodes.
         """
         s_values = [float(v) for v in s_values]
         points = [tuple(float(c) for c in p) for p in points]
@@ -299,6 +303,11 @@ class CoordinateCurve:
             )
         if len(s_values) < 2:
             raise InvalidInputError("need at least 2 samples")
+        for i, (s, p) in enumerate(zip(s_values, points)):
+            if not (math.isfinite(s) and all(map(math.isfinite, p))):
+                raise InvalidInputError(
+                    "sample row %d is not finite: s=%r, point=%r" % (i, s, p)
+                )
         d = s_values[1] - s_values[0]
         if d <= 0:
             raise InvalidInputError("sample parameter must be strictly increasing")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from hhcurves._kernels import pure as _ddmath
+from hhcurves._kernels import DD, _two_prod, dd_sqrt
 from hhcurves.curves import (
     CoordinateCurve,
     FDConfig,
@@ -103,11 +103,8 @@ def _coerce_branch(branch):
 
 def _slope_roots_dd(amp, tilt):
     """Double-double roots of a² − 2·a·tilt − 4·amp² = 0: tilt ± √(tilt²+4·amp²)."""
-    DD = _ddmath.DD
-    disc = DD(*_ddmath._two_prod(tilt, tilt)) + DD(
-        *_ddmath._two_prod(2.0 * amp, 2.0 * amp)
-    )
-    root = _ddmath.dd_sqrt(disc)
+    disc = DD(*_two_prod(tilt, tilt)) + DD(*_two_prod(2.0 * amp, 2.0 * amp))
+    root = dd_sqrt(disc)
     plus = DD(tilt) + root
     minus = DD(tilt) - root
     return (plus.hi, plus.lo), (minus.hi, minus.lo)
@@ -130,7 +127,8 @@ def solve_slope(kind, shape):
     ``a² − 2·a·sinh(shape) − 4·cosh²(shape)``; for the timelike family it is
     ``a² − 2·a·cosh(shape) − 4·sinh²(shape)`` (shape ≠ 0; at shape = 0 the
     roots collapse to 2 and 0 and the family degenerates). Raises
-    :class:`InvalidInputError` for kinds without a biharmonicity slope.
+    :class:`InvalidInputError` for kinds without a biharmonicity slope and
+    for a shape that is not finite.
     """
     kind = _coerce_kind(kind)
     if kind == FamilyKind.TIMELIKE_HORIZONTAL_HELIX:
@@ -140,6 +138,8 @@ def solve_slope(kind, shape):
         )
     if kind not in _AMP_TILT:
         raise InvalidInputError("no slope quadratic for family %r" % (kind.value,))
+    if not math.isfinite(shape):
+        raise InvalidInputError("family shape must be finite, got %r" % (shape,))
     amp, tilt = (f(shape) for f in _AMP_TILT[kind])
     plus, minus = _slope_roots_dd(amp, tilt)
     return plus[0], minus[0]

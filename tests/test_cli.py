@@ -751,6 +751,7 @@ class TestImport:
                       if getattr(getattr(hhcurves, m), name, None) is value]
             assert owners, name
         assert hhcurves.__all__[0] == "__version__"
+        assert hhcurves.BACKEND == "pure"
         assert set(hhcurves.__all__) <= set(dir(hhcurves))
         assert set(_SUBMODULES) <= set(dir(hhcurves))
         namespace = {}

@@ -28,7 +28,7 @@ from hhcurves import (
     vertical_momentum,
 )
 from hhcurves import _kernels
-from hhcurves._kernels.pure import _two_sum
+from hhcurves._kernels import _two_sum
 from hhcurves.frenet import direct_tau, point_data
 
 GRID = tuple(-1.0 + 0.25 * i for i in range(9))
@@ -81,6 +81,11 @@ class TestFiniteDifferences:
     def test_invalid_order_rejected(self):
         with pytest.raises(InvalidInputError):
             fd_derivative(_smooth, 0.0, 5, FDConfig())
+
+    def test_bool_step_rejected(self):
+        for step in (True, False):
+            with pytest.raises(InvalidInputError, match="FD step"):
+                FDConfig(step=step)
 
 
 class TestCoordinateCurve:
@@ -173,6 +178,18 @@ class TestSampledCurves:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             CoordinateCurve.from_samples([0.0, 0.1], [(0.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row, column", [(2, 0), (1, 0), (1, 2), (0, 1)])
+    def test_non_finite_samples_rejected(self, bad, row, column):
+        samples = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.5, 0.25],
+                   [2.0, 2.0, 1.0, 0.5]]
+        samples[row][column] = bad
+        s_values = [r[0] for r in samples]
+        points = [tuple(r[1:]) for r in samples]
+        with pytest.raises(InvalidInputError,
+                           match="sample row %d is not finite" % row):
+            CoordinateCurve.from_samples(s_values, points)
 
 
 class TestCsv:
@@ -267,6 +284,11 @@ class TestIntegration:
             integrate_frame_curve(frame, (0, 0, 0), (0.0, 1.0), -0.1)
         with pytest.raises(InvalidInputError):
             integrate_frame_curve(frame, (0, 0, 0), (0.0, 1.0), 0.3)
+
+    def test_non_finite_start_rejected(self):
+        frame = FrameCurve(lambda s: (1.0, 0.0, 0.0))
+        with pytest.raises(InvalidInputError, match="sample row 0"):
+            integrate_frame_curve(frame, (math.nan, 0, 0), (0.0, 1.0), 0.1)
 
 
 class TestCurveInvariants:
@@ -384,6 +406,11 @@ class TestHelixSpec:
             args[field] = bad
             with pytest.raises(InvalidInputError, match="must be finite"):
                 HelixSpec(*args)
+
+    @pytest.mark.parametrize("form", [2, -1, "0", 0.0, True, None])
+    def test_form_other_than_int_0_or_1_rejected(self, form):
+        with pytest.raises(InvalidInputError, match="helix form"):
+            HelixSpec(form, 1.0, 0.0, 1.0)
 
     def test_slope_pair_is_stored_normalized(self):
         """An unnormalized (hi, lo) slope is stored as its two-sum, so the

@@ -67,6 +67,12 @@ class TestSolveSlope:
         with pytest.raises(InvalidInputError):
             solve_slope("diagonal", 0.0)
 
+    @pytest.mark.parametrize("kind", ["spacelike", "timelike", "horizontal"])
+    @pytest.mark.parametrize("shape", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shape_rejected(self, kind, shape):
+        with pytest.raises(InvalidInputError, match="shape must be finite"):
+            solve_slope(kind, shape)
+
 
 class TestSpacelikeFamily:
     def test_helix_constants(self):

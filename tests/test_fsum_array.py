@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hhcurves import frame
-from hhcurves._kernels import pure
+from hhcurves import _kernels as pure
 
 PROPS = settings(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.too_slow])

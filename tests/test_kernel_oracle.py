@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import kernels_reference as ref
 from hhcurves import CoordinateCurve, FDConfig, FrameCurve
-from hhcurves._kernels import pure
+from hhcurves import _kernels as pure
 
 PROPS = settings(derandomize=True, deadline=None, database=None,
                  max_examples=300,

@@ -1,5 +1,5 @@
-"""The kernels: their one backend, unit-jet projection, double-double
-arithmetic, and the one-pass helix grid kernel."""
+"""The kernels: unit-jet projection, double-double arithmetic, and the
+one-pass helix grid kernel."""
 
 import contextlib
 import io
@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hhcurves
 import hhcurves._kernels as kernels
 from hhcurves import biharmonic, cli, families, frenet
-from hhcurves._kernels import pure
+from hhcurves import _kernels as pure
 from hhcurves import (
     GeodesicDegenerateError,
     HHCurvesError,
@@ -38,12 +37,6 @@ def _helix_jets(amp, tilt, a, s):
         (a * a * amp * c, a * a * amp * sh, 0.0),
         (a**3 * amp * sh, a**3 * amp * c, 0.0),
     )
-
-
-def test_kernels_are_the_pure_module():
-    assert hhcurves.BACKEND == "pure"
-    for name in kernels.__all__:
-        assert getattr(kernels, name) is getattr(pure, name), name
 
 
 class TestProjection:

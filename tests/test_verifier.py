@@ -241,7 +241,7 @@ class TestNegativeControls:
         # cross-properties takes the max of its residuals over 1000 lanes:
         # a NaN in one lane of the inner products must not hide behind the
         # finite residuals of the cross products
-        from hhcurves._kernels import pure
+        from hhcurves import _kernels as pure
 
         fsum = pure._fsum_array
 

@@ -7,7 +7,11 @@ helix without closed-form derivatives or ``HelixSpec``: two FD-backed, and
 one ``from_samples`` table of its coordinates, timed at its interior nodes.
 The kernels run on the frame curve's jets. The table shows the best of
 ``--repeat`` passes over ``--points`` seeded parameters (or interior nodes),
-in microseconds per call. pytest does not collect this file (its name does
+in microseconds per call. The last rows time the array ``fsum``,
+``_fsum_array``, over 20 sets of seeded float64 addends of each shape
+(lanes × addends per lane): 1000 × 4 and 1000 × 6 are the shapes of the
+array ``cross`` and ``inner`` in ``verify``'s ``cross-properties`` check, and
+801 × 13 is a larger case. pytest does not collect this file (its name does
 not start with ``test_``).
 
 Run from the repository root::
@@ -18,6 +22,8 @@ Run from the repository root::
 import argparse
 import random
 import time
+
+import numpy as np
 
 from hhcurves import CoordinateCurve, FDConfig, FrameCurve, _kernels, curves
 from hhcurves.families import make_spacelike_biharmonic
@@ -32,6 +38,14 @@ def best_us(fn, args, repeat):
             fn(a)
         best = min(best, time.perf_counter() - start)
     return 1e6 * best / len(args)
+
+
+def fsum_inputs(rng, lanes, addends, sets=20):
+    """``sets`` lists of ``addends`` float64 arrays of ``lanes`` lanes, with
+    magnitudes spread over 2**-60 to 1 as in the addends of exact products."""
+    return [list(rng.uniform(-1.0, 1.0, (addends, lanes))
+                 * np.exp2(rng.integers(-60, 1, (addends, lanes))))
+            for _ in range(sets)]
 
 
 def main(argv=None):
@@ -62,6 +76,12 @@ def main(argv=None):
          lambda j: _kernels.project_unit_jets(j, unit_tol), raw),
         ("point_eval", lambda j: _kernels.point_eval(j, geo_tol), projected),
         ("frenet_jets", lambda j: _kernels.frenet_jets(j, geo_tol), projected),
+    )
+    np_rng = np.random.default_rng(args.seed)
+    rows += tuple(
+        ("_fsum_array %dx%d" % shape, _kernels._fsum_array,
+         fsum_inputs(np_rng, *shape))
+        for shape in ((1000, 4), (1000, 6), (801, 13))
     )
     print("%-28s %10s" % ("stage (seed %d, best of %d)" % (args.seed,
                                                           args.repeat),
