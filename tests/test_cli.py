@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, determinism, atomic output."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -307,6 +308,35 @@ class TestFamilyFlags:
                                 "0.5", "--range", span], capsys)
         assert code == 2
         assert "dd_exp argument" in err, err
+
+
+# sha256 of each --help output at COLUMNS=80; argparse's layout differs
+# between Python minor versions, so the pins hold for this one
+_HELP_PYTHON = (3, 11)
+_HELP_SHA256 = {
+    (): "48445256ec9e564e62ceb331c666fbefb25cf430a36826ef456db19ae7c5b36a",
+    ("generate",):
+        "a5bddc5a6662b91aca49c7bb4e43c691961ddde88f01b3c2c0b2672e2444963f",
+    ("frenet",):
+        "e1453aaec59511a898801b9b12736c98a62bd6ea3234552b797f51054b256381",
+    ("residual",):
+        "629629aafd79d44d97602dee67de19ab2645faa4e0ca2ae0cf4a3c441c693896",
+    ("verify",):
+        "0e35706399cbdf6ab2886af73823103311f4bad5ee7b80f08ae5e8700532cd48",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(_HELP_SHA256),
+                             ids=lambda c: " ".join(c) or "top")
+    def test_help_matches_pin(self, command, capsys, monkeypatch):
+        if sys.version_info[:2] != _HELP_PYTHON:
+            pytest.skip("help pinned with Python %d.%d" % _HELP_PYTHON)
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(list(command) + ["--help"], capsys)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == _HELP_SHA256[command]
 
 
 class TestFrenet:
