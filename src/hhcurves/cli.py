@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -72,8 +73,28 @@ _FAMILIES = {
     "geodesic": ("make_geodesic", (), ("direction",)),
 }
 
-# Every family flag, as its argparse dest; each defaults to None.
-_FAMILY_FLAGS = ("alpha0", "nu0", "m", "p", "q", "direction") + _HELIX_FLAGS
+# Every family flag in --help order: its argparse dest, the type of its
+# value (bool: a switch) and its help text. Each defaults to None.
+_FLAG_TABLE = (
+    ("alpha0", float, "shape parameter of the spacelike family"),
+    ("nu0", float, "shape parameter of the timelike family (nonzero)"),
+    ("m", float, "frequency of the flat timelike helix (nonzero)"),
+    ("p", float, "linear-profile intercept for the b3zero families"),
+    ("q", float, "linear-profile slope for the b3zero families (nonzero)"),
+    ("branch", str, "slope-quadratic root: + or - (also plus, minus, +1, 1, "
+     "-1; default +)"),
+    ("phase", float, "phase offset b in u = a*s + b (default 0)"),
+    ("c1", float, "x translation (default 0)"),
+    ("c2", float, "y translation (default 0)"),
+    ("c3", float, "z translation (default 0)"),
+    ("direction", str, "geodesic direction as 'dx,dy,dz' (default 0,0,1)"),
+    ("as_printed", bool, "use the printed (uncorrected) slope constant"),
+)
+_FAMILY_FLAGS = tuple(name for name, _, _ in _FLAG_TABLE)
+
+# A token that starts with '-' and is a value: a negative number, range or
+# direction (-1e-3, -inf, -2:2:0.01, -1,0,0), or a path such as -1.csv.
+_NEGATIVE_VALUE = re.compile(r"-(\.?[0-9]|inf|nan)", re.IGNORECASE)
 
 # The s-grid when --range is not given.
 _DEFAULT_RANGE = "-2:2:0.01"
@@ -262,7 +283,8 @@ def cmd_generate(ns):
         integrated = integrate_frame_curve(
             curve, (0.0, 0.0, 0.0), (start, stop), step / refine
         )
-        positions = [integrated.point(s) for s in grid]
+        # every refine-th integration node is a grid node
+        positions = integrated.samples.points[::refine]
     rows = [(s, *pos, *curve.tangent(s)) for s, pos in zip(grid, positions)]
     _write_csv(ns.output, _GENERATE_HEADER, rows)
     return 0
@@ -342,52 +364,13 @@ def _add_family_options(parser):
         default=None,
         help="closed-form family to instantiate",
     )
-    group.add_argument(
-        "--alpha0", type=float, default=None,
-        help="shape parameter of the spacelike family",
-    )
-    group.add_argument(
-        "--nu0", type=float, default=None,
-        help="shape parameter of the timelike family (nonzero)",
-    )
-    group.add_argument(
-        "--m", type=float, default=None,
-        help="frequency of the flat timelike helix (nonzero)",
-    )
-    group.add_argument(
-        "--p", type=float, default=None,
-        help="linear-profile intercept for the b3zero families",
-    )
-    group.add_argument(
-        "--q", type=float, default=None,
-        help="linear-profile slope for the b3zero families (nonzero)",
-    )
-    group.add_argument(
-        "--branch", default=None,
-        help="slope-quadratic root: + or - (also plus, minus, +1, 1, -1; "
-        "default +)",
-    )
-    group.add_argument(
-        "--phase", type=float, default=None,
-        help="phase offset b in u = a*s + b (default 0)",
-    )
-    group.add_argument(
-        "--c1", type=float, default=None, help="x translation (default 0)"
-    )
-    group.add_argument(
-        "--c2", type=float, default=None, help="y translation (default 0)"
-    )
-    group.add_argument(
-        "--c3", type=float, default=None, help="z translation (default 0)"
-    )
-    group.add_argument(
-        "--direction", default=None,
-        help="geodesic direction as 'dx,dy,dz' (default 0,0,1)",
-    )
-    group.add_argument(
-        "--as-printed", action="store_true", default=None, dest="as_printed",
-        help="use the printed (uncorrected) slope constant",
-    )
+    for name, kind, help_text in _FLAG_TABLE:
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            group.add_argument(flag, action="store_true", default=None,
+                               help=help_text)
+        else:
+            group.add_argument(flag, type=kind, default=None, help=help_text)
 
 
 def _add_output_options(parser):
@@ -460,16 +443,19 @@ def build_parser():
 
 
 def _merge_value_flags(argv):
-    """Join '--range -2:2:0.01' into '--range=-2:2:0.01'.
+    """Join '--name -V' into '--name=-V' when -V reads as a value.
 
-    Values of these flags can start with '-' (negative grid bounds, negative
-    direction components), which argparse would otherwise read as an option.
+    argparse reads a token that starts with '-' as an option unless it looks
+    like -1 or -0.5, so without this '--alpha0 -1e-3', '--c1 -inf', '--range
+    -2:2:0.01', '--direction -1,0,0' and '--input -1.csv' would all fail. An
+    option string such as '--c1', '-o' or '-h' never reads as a value.
     """
     merged = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in ("--range", "--direction") and i + 1 < len(argv):
+        if (token.startswith("--") and len(token) > 2 and "=" not in token
+                and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1])):
             merged.append(token + "=" + argv[i + 1])
             i += 2
             continue

@@ -71,6 +71,18 @@ DEFAULT_VERDICT_TOL_ANALYTIC = 1e-8
 DEFAULT_VERDICT_TOL_SAMPLED = 1e-4
 
 
+def _usable_step(h):
+    """Whether h is a positive real whose fourth power, and that of h/2,
+    are positive finite doubles, which the stencils divide by: h from about
+    2.5e-81 to 1.1e77."""
+    try:
+        h = float(h)
+        return h > 0 and all(0.0 < p < math.inf
+                             for p in (h ** 4, (h / 2.0) ** 4))
+    except OverflowError:  # an int or a power past DBL_MAX
+        return False
+
+
 @dataclass(frozen=True)
 class FDConfig:
     """Finite-difference configuration: the base step."""
@@ -79,9 +91,11 @@ class FDConfig:
 
     def __post_init__(self):
         if (not isinstance(self.step, (int, float)) or isinstance(self.step, bool)
-                or not (math.isfinite(self.step) and self.step > 0)):
+                or not _usable_step(self.step)):
             raise InvalidInputError(
-                "FD step must be a finite positive real, got %r" % (self.step,)
+                "FD step must be a finite positive real whose fourth power, "
+                "and its half's, is a positive finite double, got %r"
+                % (self.step,)
             )
 
 
@@ -110,13 +124,15 @@ class HelixSpec:
             raise InvalidInputError(
                 "helix form must be the int 0 or 1, got %r" % (self.form,)
             )
-        values = (self.amp, self.tilt, self.slope_hi, self.slope_lo, self.phase)
+        # the slope is checked as its normalized pair, whose hi word
+        # overflows when the given pair sums past DBL_MAX
+        hi, lo = _two_sum(self.slope_hi, self.slope_lo)
+        values = (self.amp, self.tilt, hi, lo, self.phase)
         if not all(math.isfinite(v) for v in values):
             raise InvalidInputError(
                 "helix amp, tilt, slope and phase must be finite, got %r"
                 % (values,)
             )
-        hi, lo = _two_sum(self.slope_hi, self.slope_lo)
         if hi != self.slope_hi:
             object.__setattr__(self, "slope_hi", hi)
             object.__setattr__(self, "slope_lo", lo)
@@ -292,7 +308,8 @@ class CoordinateCurve:
         """Uniform-grid backing from parallel sequences of s and (x, y, z).
 
         Requires finite samples and strictly increasing, uniformly spaced
-        ``s_values`` (relative tolerance 1e-9) with at least two nodes.
+        ``s_values`` with at least two nodes: each spacing within
+        ``1e-9·max(1, |s|)`` of the first, and within a quarter of it.
         """
         s_values = [float(v) for v in s_values]
         points = [tuple(float(c) for c in p) for p in points]
@@ -311,14 +328,20 @@ class CoordinateCurve:
         d = s_values[1] - s_values[0]
         if d <= 0:
             raise InvalidInputError("sample parameter must be strictly increasing")
-        scale = max(abs(s_values[0]), abs(s_values[-1]), 1.0)
+        # the stencils take a base step of 2·d, with Richardson's half step d
+        if not _usable_step(2.0 * d):
+            raise InvalidInputError(
+                "sample spacing %r is outside the range stencil derivatives "
+                "can divide by" % (d,)
+            )
+        tol = _node_tol(max(abs(s_values[0]), abs(s_values[-1])), d)
         for i in range(1, len(s_values)):
             step = s_values[i] - s_values[i - 1]
             if step <= 0:
                 raise InvalidInputError(
                     "sample parameter must be strictly increasing"
                 )
-            if abs(step - d) > 1e-9 * scale:
+            if abs(step - d) > tol:
                 raise InvalidInputError(
                     "sample parameter must be uniformly spaced "
                     "(spacing %r vs %r at row %d)" % (step, d, i)
@@ -376,6 +399,13 @@ class CoordinateCurve:
             f(origin), _fd_pass(f, origin, self._fd_jets))
 
 
+def _node_tol(s, spacing):
+    """How far an argument near ``s`` may be from a sample node, or a
+    spacing from the first: 1e-9·max(1, |s|), and at most a quarter of the
+    spacing, so that it never reaches a neighbouring node."""
+    return min(1e-9 * max(1.0, abs(s)), 0.25 * spacing)
+
+
 class _SampleTable:
     """Uniform-grid samples, and the nodes around each interior node that a
     sampled curve's stencils take."""
@@ -388,10 +418,9 @@ class _SampleTable:
         self._offsets = {k * spacing: k for k in range(-4, 5)}
 
     def _index(self, s):
-        i = bisect_left(self.s_values, s - 1e-9 * max(1.0, abs(s)))
-        if i >= len(self.s_values) or abs(self.s_values[i] - s) > 1e-9 * max(
-            1.0, abs(s)
-        ):
+        tol = _node_tol(s, self.spacing)
+        i = bisect_left(self.s_values, s - tol)
+        if i >= len(self.s_values) or abs(self.s_values[i] - s) > tol:
             raise InvalidInputError(
                 "sampled curves can only be evaluated at grid nodes; "
                 "%r is not one" % (s,)

@@ -39,7 +39,11 @@ from hhcurves.curves import (
     HelixSpec,
     fd_derivative,
 )
-from hhcurves.errors import DegenerateGeodesicError, InvalidInputError
+from hhcurves.errors import (
+    DegenerateGeodesicError,
+    InvalidInputError,
+    NumericOverflowError,
+)
 
 __all__ = [
     "FamilyKind",
@@ -110,13 +114,34 @@ def _slope_roots_dd(amp, tilt):
     return (plus.hi, plus.lo), (minus.hi, minus.lo)
 
 
+# Each make_helix kind: the (amp, tilt) of its tangent as functions of the
+# tilt parameter, and its HelixSpec form.
+_HELIX_KINDS = {
+    "spacelike": ((math.cosh, math.sinh), 0),
+    "timelike": ((math.sinh, math.cosh), 0),
+    "timelike-flat": ((math.cos, math.sin), 1),
+}
+
 # The tangent (amp·cosh u, amp·sinh u, tilt) of each family with a
 # biharmonicity slope: (amp, tilt) as functions of its shape parameter.
 _AMP_TILT = {
-    FamilyKind.SPACELIKE_BIHARMONIC: (math.cosh, math.sinh),
-    FamilyKind.SPACELIKE_HORIZONTAL: (math.cosh, math.sinh),
-    FamilyKind.TIMELIKE_BIHARMONIC: (math.sinh, math.cosh),
+    FamilyKind.SPACELIKE_BIHARMONIC: _HELIX_KINDS["spacelike"][0],
+    FamilyKind.SPACELIKE_HORIZONTAL: _HELIX_KINDS["spacelike"][0],
+    FamilyKind.TIMELIKE_BIHARMONIC: _HELIX_KINDS["timelike"][0],
 }
+
+
+def _amp_tilt(functions, shape):
+    """``(amp, tilt)`` at ``shape`` from a row of the tables above; raises
+    :class:`NumericOverflowError` when either is past the doubles, and
+    :class:`InvalidInputError` where cos or sin has no value (shape ±inf)."""
+    try:
+        return tuple(f(shape) for f in functions)
+    except OverflowError as exc:
+        raise NumericOverflowError(str(exc)) from exc
+    except ValueError as exc:  # cos or sin of ±inf
+        raise InvalidInputError(
+            "family shape must be finite, got %r" % (shape,)) from exc
 
 
 def solve_slope(kind, shape):
@@ -128,7 +153,8 @@ def solve_slope(kind, shape):
     ``a² − 2·a·cosh(shape) − 4·sinh²(shape)`` (shape ≠ 0; at shape = 0 the
     roots collapse to 2 and 0 and the family degenerates). Raises
     :class:`InvalidInputError` for kinds without a biharmonicity slope and
-    for a shape that is not finite.
+    for a shape that is not finite, and :class:`NumericOverflowError` for
+    one whose quadratic leaves the doubles (|shape| above about 354).
     """
     kind = _coerce_kind(kind)
     if kind == FamilyKind.TIMELIKE_HORIZONTAL_HELIX:
@@ -140,8 +166,11 @@ def solve_slope(kind, shape):
         raise InvalidInputError("no slope quadratic for family %r" % (kind.value,))
     if not math.isfinite(shape):
         raise InvalidInputError("family shape must be finite, got %r" % (shape,))
-    amp, tilt = (f(shape) for f in _AMP_TILT[kind])
+    amp, tilt = _amp_tilt(_AMP_TILT[kind], shape)
     plus, minus = _slope_roots_dd(amp, tilt)
+    if not (math.isfinite(plus[0]) and math.isfinite(minus[0])):
+        raise NumericOverflowError(
+            "the slope quadratic at shape %r overflows" % (shape,))
     return plus[0], minus[0]
 
 
@@ -159,12 +188,15 @@ def _printed_slope(kind, shape, branch):
 # ---------------------------------------------------------------------------
 
 
-def _dm_cosh(u, a, m):
-    return a ** m * (math.cosh(u) if m % 2 == 0 else math.sinh(u))
+# Each helix form: the (even, odd) functions of u its coordinates take, and
+# the sign of amp²/a in the drift of z
+_FORMS = {0: (math.cosh, math.sinh, -1.0), 1: (math.sinh, math.cosh, 1.0)}
 
 
-def _dm_sinh(u, a, m):
-    return a ** m * (math.sinh(u) if m % 2 == 0 else math.cosh(u))
+def _dm(u, a, m, pair):
+    """The m-th derivative in s of ``pair[0](u)``, u = a·s + b, for the
+    pair (cosh, sinh) or (sinh, cosh)."""
+    return a ** m * pair[m % 2](u)
 
 
 def _helix_frame_curve(form, amp, tilt, slope_dd, phase):
@@ -183,36 +215,20 @@ def _helix_coordinate_curve(form, amp, tilt, slope_dd, phase, offsets):
     ra = amp / a
     p_coef = 2.0 * c1 * amp / a
     q_coef = 2.0 * c2 * amp / a
-    if form == 0:
-        lin = 2.0 * (tilt - amp * amp / a)
-    else:
-        lin = 2.0 * (tilt + amp * amp / a)
+    even, odd, sign = _FORMS[form]
+    lin = 2.0 * (tilt + sign * (amp * amp / a))
 
     def position(s):
         u = a * s + phase
-        ch, sh = math.cosh(u), math.sinh(u)
-        if form == 0:
-            return (
-                ra * sh + c1,
-                ra * ch + c2,
-                lin * s + p_coef * ch - q_coef * sh + c3,
-            )
-        return (
-            ra * ch + c1,
-            ra * sh + c2,
-            lin * s + p_coef * sh - q_coef * ch + c3,
-        )
+        ev, od = even(u), odd(u)
+        return (ra * od + c1, ra * ev + c2,
+                lin * s + p_coef * ev - q_coef * od + c3)
 
     def derivative(s, order):
         u = a * s + phase
-        if form == 0:
-            x = ra * _dm_sinh(u, a, order)
-            y = ra * _dm_cosh(u, a, order)
-            z = p_coef * _dm_cosh(u, a, order) - q_coef * _dm_sinh(u, a, order)
-        else:
-            x = ra * _dm_cosh(u, a, order)
-            y = ra * _dm_sinh(u, a, order)
-            z = p_coef * _dm_sinh(u, a, order) - q_coef * _dm_cosh(u, a, order)
+        ev = _dm(u, a, order, (even, odd))
+        od = _dm(u, a, order, (odd, even))
+        x, y, z = ra * od, ra * ev, p_coef * ev - q_coef * od
         if order == 1:
             z += lin
         return (x, y, z)
@@ -226,7 +242,7 @@ def _biharmonic_member(kind, shape, branch, phase, offsets, as_printed):
     with the given shape, on the chosen slope root or the printed slope."""
     branch = _coerce_branch(branch)
     shape = float(shape)
-    amp, tilt = (f(shape) for f in _AMP_TILT[kind])
+    amp, tilt = _amp_tilt(_AMP_TILT[kind], shape)
     if amp == 0.0:  # only the timelike family, at shape 0
         raise DegenerateGeodesicError(
             "the timelike biharmonic family degenerates to a geodesic at shape 0"
@@ -307,21 +323,12 @@ def make_helix(kind, tilt, slope, phase=0.0):
         slope_dd = (float(slope[0]), float(slope[1]))
     else:
         slope_dd = (float(slope), 0.0)
-    if kind == "spacelike":
-        amp, t3 = math.cosh(tilt), math.sinh(tilt)
-        form = 0
-    elif kind == "timelike":
-        amp, t3 = math.sinh(tilt), math.cosh(tilt)
-        form = 0
-        if amp == 0.0:
-            raise DegenerateGeodesicError(
-                "timelike helix with tilt 0 is a geodesic"
-            )
-    elif kind == "timelike-flat":
-        amp, t3 = math.cos(tilt), math.sin(tilt)
-        form = 1
-    else:
+    if not isinstance(kind, str) or kind not in _HELIX_KINDS:
         raise InvalidInputError("unknown helix kind %r" % (kind,))
+    functions, form = _HELIX_KINDS[kind]
+    amp, t3 = _amp_tilt(functions, tilt)
+    if amp == 0.0:  # only the timelike kind, at tilt 0
+        raise DegenerateGeodesicError("timelike helix with tilt 0 is a geodesic")
     return _helix_frame_curve(form, amp, t3, slope_dd, float(phase))
 
 
@@ -569,10 +576,7 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
         return (_jets_mul(radial, bch)[order], _jets_mul(radial, bsh)[order],
                 axial[order])
 
-    curve = FrameCurve(tangent, derivative=derivative if analytic else None)
-    curve.b3zero_kind = "spacelike" if spacelike else "timelike"
-    curve.s_range = (s0, s1)
-    return curve
+    return FrameCurve(tangent, derivative=derivative if analytic else None)
 
 
 def make_b3zero_linear(kind, p, q, s_range):

@@ -276,7 +276,7 @@ def extended_from_flat(fr):
 
 def extended_frenet(curve, s):
     """Frenet data plus curvature derivatives and ∇_T N, ∇_T B."""
-    fr = point_data(curve, s)[0]
+    fr = _evaluate(curve, s, _frame_jets)[0]
     return extended_from_flat(fr)
 
 

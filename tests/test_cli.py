@@ -98,6 +98,21 @@ class TestGenerate:
             t1, t2, t3 = row[4], row[5], row[6]
             assert t1 * t1 - t2 * t2 - t3 * t3 == pytest.approx(1.0, abs=1e-9)
 
+    def test_integrated_nodes_at_a_fine_grid_step(self, capsys):
+        # the integrated nodes were looked up with a tolerance of 1e-9, ten
+        # grid steps here: rows up to s = 1e-9 held the origin, and every
+        # later row the position ten steps back
+        code, out, _ = run_cli(["generate", "--family", "b3zero-spacelike",
+                                "--p", "0.4", "--q", "0.6",
+                                "--range", "0:2e-9:1e-10"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 21
+        for s, x, y, z, t1, t2, t3 in rows:
+            # x' = T1 and z' = 2·T3 - 2·T1·y + 2·T2·x, nearly constant here
+            assert x == pytest.approx(t1 * s, rel=1e-6, abs=1e-30)
+            assert z == pytest.approx(2.0 * t3 * s, rel=1e-6, abs=1e-30)
+
     def test_missing_required_parameter(self, capsys):
         code, _, err = run_cli(
             ["generate", "--family", "spacelike", "--range", "0:1:0.5"],
@@ -302,12 +317,78 @@ class TestFamilyFlags:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("alpha0", ["1e3", "-1e3"])
+    def test_overflowing_shape_is_an_arithmetic_failure(self, alpha0, capsys):
+        code, out, err = run_cli(["generate", "--family", "spacelike",
+                                  "--alpha0", alpha0], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: arithmetic failure: math range error\n"
+
     @pytest.mark.parametrize("span", ["0:400:25", "-400:0:25"])
     def test_out_of_exp_range_names_dd_exp(self, span, capsys):
         code, _, err = run_cli(["frenet", "--family", "spacelike", "--alpha0",
                                 "0.5", "--range", span], capsys)
         assert code == 2
         assert "dd_exp argument" in err, err
+
+
+class TestNegativeValues:
+    """A value that starts with '-' reads as a value after any long flag,
+    as its '--flag=value' spelling does; argparse alone takes only values
+    such as -1 and -0.5."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--phase", "-1e-05"], ["--c1", "-2e3"], ["--c2", "-.5"],
+        ["--c3", "-0"], ["--branch", "-1"], ["--range", "-1:1:0.5"],
+    ])
+    def test_negative_value_reads_as_with_equals(self, extra, capsys):
+        base = ["generate", "--family", "spacelike", "--alpha0"]
+        code, out, err = run_cli(base + ["-1e-3"] + extra, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("s,x,y,z,T1,T2,T3\n")
+        joined = base[:-1] + ["--alpha0=-1e-3", "=".join(extra)]
+        assert run_cli(joined, capsys) == (code, out, err)
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+    def test_negative_non_finite_value_is_rejected_as_such(self, value,
+                                                           capsys):
+        code, out, err = run_cli(["generate", "--family", "spacelike",
+                                  "--alpha0", value], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --alpha0 must be finite, got ")
+        assert run_cli(["generate", "--family", "spacelike",
+                        "--alpha0=" + value], capsys) == (code, out, err)
+
+    def test_input_path_starting_with_minus(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(["generate", "--family", "horizontal",
+                              "--range", "0:0.1:0.01", "--output", "-1.csv"],
+                             capsys)
+        assert code == 0
+        code, out, err = run_cli(["frenet", "--input", "-1.csv"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("s,k1,")
+        assert run_cli(["frenet", "--input=-1.csv"], capsys) == (code, out,
+                                                                 err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--c1", "--c2", "1"], "argument --c1: expected one argument"),
+        (["--c1", "-o", "x.csv"], "argument --c1: expected one argument"),
+        (["--phase", "-h"], "argument --phase: expected one argument"),
+    ])
+    def test_option_string_is_never_a_value(self, argv, message, capsys):
+        code, out, err = run_cli(["generate", "--family", "horizontal"]
+                                 + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
+
+    def test_branch_minus_alone(self, capsys):
+        base = ["generate", "--family", "horizontal", "--range", "0:0.2:0.1"]
+        code, out, err = run_cli(base + ["--branch", "-"], capsys)
+        assert (code, err) == (0, "")
+        assert run_cli(base + ["--branch", "minus"], capsys) == (code, out,
+                                                                 err)
 
 
 # sha256 of each --help output at COLUMNS=80; argparse's layout differs
@@ -482,6 +563,20 @@ class TestFrenet:
         for row in rows:
             assert row[1] == pytest.approx(k1_expected, abs=1e-4)
             assert row[10] == 0.0
+
+    @pytest.mark.parametrize("spacing", [1e80, 1e-90])
+    def test_spacing_stencils_cannot_use_exits_two(self, spacing, capsys,
+                                                   tmp_path):
+        # 1e80 overflowed in h**4 (exit 2, "Numerical result out of
+        # range"); 1e-90 named node 0 as too close to the boundary
+        path = tmp_path / "wide.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            "%r,%r,0,0\n" % (i * spacing, i * spacing) for i in range(21)),
+            encoding="utf-8")
+        code, out, err = run_cli(["frenet", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sample spacing %r is outside"
+                              % spacing), err
 
     def test_too_few_input_rows(self, capsys, tmp_path):
         path = tmp_path / "short.csv"

@@ -1,6 +1,7 @@
 """Curve containers: derivatives, CSV ingestion, integration, invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ def _smooth_derivative(s, order):
 
 
 class TestFiniteDifferences:
+    @pytest.mark.parametrize("step", [
+        1e-100, 2.4e-81, 1.2e77, 1e80, pytest.param(10**400, id="int-1e400"),
+        0.0, -1e-4, math.nan, math.inf, True])
+    def test_steps_the_stencils_cannot_divide_by_rejected(self, step):
+        # at 1e-100, (h/2)**4 is 0 and every evaluation divided by it
+        with pytest.raises(InvalidInputError, match="FD step must be"):
+            FDConfig(step=step)
+
+    @pytest.mark.parametrize("step", [2.6e-81, 1e-4, 0.01, 0.001, 1, 1.1e77])
+    def test_steps_in_range_accepted(self, step):
+        got = fd_derivative(lambda s: (3.0 * s,), 0.5, 1, FDConfig(step=step))
+        assert math.isfinite(got[0])
+
     def test_low_orders_at_default_step(self):
         cfg = FDConfig()
         for s in (-0.7, 0.0, 1.3):
@@ -178,6 +192,38 @@ class TestSampledCurves:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             CoordinateCurve.from_samples([0.0, 0.1], [(0.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("s0, d", [(1000.0, 1e-6), (1000.0, 1e-10),
+                                       (0.0, 1e-10), (-2.0, 5e-4)])
+    def test_nodes_resolve_to_themselves_at_fine_spacings(self, s0, d):
+        # a lookup tolerance of 1e-9·max(1, |s|) alone reached back one node
+        # (s0 = 1000, d = 1e-6) or ten (d = 1e-10)
+        s_values = [s0 + i * d for i in range(41)]
+        points = [(float(i * i), 0.0, 0.0) for i in range(41)]
+        curve = CoordinateCurve.from_samples(s_values, points)
+        for i in (0, 10, 20, 30, 40):
+            assert curve.point(s_values[i]) == points[i]
+        lo, hi = curve.samples.interior_range()
+        spacing = curve.samples.spacing
+        for i in (lo, 20, hi):
+            # the stencils are exact on x = i², whose slope at node i is 2i
+            assert curve.derivative(s_values[i], 1)[0] == pytest.approx(
+                2.0 * i / spacing, rel=1e-12)
+
+    def test_spacings_a_quarter_apart_rejected(self):
+        # each within 1e-9 of the first, as the relative bound alone allowed
+        s_values = [0.0]
+        for i in range(20):
+            s_values.append(s_values[-1] + (1e-10 if i % 2 == 0 else 5e-10))
+        with pytest.raises(InvalidInputError, match="uniformly spaced"):
+            CoordinateCurve.from_samples(s_values, [(0.0, 0.0, 0.0)] * 21)
+
+    @pytest.mark.parametrize("d", [1e80, 1e-90, 1e77, 1e-81])
+    def test_spacing_stencils_cannot_divide_by_rejected(self, d):
+        s_values = [i * d for i in range(11)]
+        message = re.escape("sample spacing %r is outside" % d)
+        with pytest.raises(InvalidInputError, match=message):
+            CoordinateCurve.from_samples(s_values, [(0.0, 0.0, 0.0)] * 11)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("row, column", [(2, 0), (1, 0), (1, 2), (0, 1)])
@@ -432,6 +478,15 @@ class TestHelixSpec:
                 spec.phase, s, 0.0)
             assert k1 == pytest.approx(fr[0], rel=1e-5)
             assert direct_tau(curve, s) == pytest.approx(tau_d, abs=1e-11)
+
+    @pytest.mark.parametrize("hi, lo", [(1e308, 1e308), (1.7e308, 1.7e308),
+                                        (-1e308, -1e308)])
+    def test_slope_pair_summing_past_the_doubles_rejected(self, hi, lo):
+        # the pair was stored as (inf, nan), and its tangent came out as nan
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            HelixSpec(0, 1.0, 0.0, hi, lo)
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            make_helix("spacelike", 0.3, (hi, lo))
 
     def test_normalized_slope_pairs_are_kept_bit_for_bit(self):
         for hi, lo in ((2.0, 1e-20), (-0.0, 0.0), (1.5, -0.0), (3.0, 0.0)):

@@ -11,6 +11,7 @@ from hhcurves import (
     FamilyKind,
     HelixSpec,
     InvalidInputError,
+    NumericOverflowError,
     check_unit_speed,
     compute_frenet,
     inner,
@@ -58,6 +59,25 @@ class TestSolveSlope:
     def test_root_ordering(self):
         plus, minus = solve_slope("spacelike", 0.7)
         assert plus > 0.0 > minus
+
+    @pytest.mark.parametrize("build", [
+        lambda: solve_slope("spacelike", 1000.0),
+        lambda: solve_slope("timelike", 800.0),
+        lambda: solve_slope("horizontal", -1000.0),
+        # cosh is finite, the discriminant is not: the roots came out nan
+        lambda: solve_slope("spacelike", 355.0),
+        lambda: solve_slope("timelike", -709.0),
+        lambda: make_spacelike_biharmonic(1000.0),
+        lambda: make_timelike_biharmonic(-800.0),
+        lambda: make_helix("spacelike", 1000.0, 1.0),
+        lambda: make_helix("timelike", 800.0, 1.0),
+    ], ids=["solve-spacelike", "solve-timelike", "solve-horizontal",
+            "solve-discriminant", "solve-timelike-discriminant", "spacelike", "timelike", "helix-spacelike", "helix-timelike"])
+    def test_amp_or_tilt_past_the_doubles_raises_a_library_error(self, build):
+        # cosh and sinh raised a bare OverflowError here
+        with pytest.raises(NumericOverflowError,
+                           match="math range error|quadratic .* overflows"):
+            build()
 
     def test_kinds_without_slope_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -207,6 +227,23 @@ class TestFlatTimelikeHelix:
             got = curve.tangent(s)
             want = curve.helix.tangent(s)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("curve", [
+    make_spacelike_biharmonic(0.5, branch=-1, phase=0.3,
+                              offsets=(0.7, -1.2, 0.4)),
+    make_timelike_biharmonic(-0.6, phase=-0.2, offsets=(-0.3, 0.8, 2.0)),
+    make_timelike_horizontal_helix(0.7, offsets=(0.2, -0.1, 1.0)),
+], ids=["form-0-spacelike", "form-0-timelike", "form-1"])
+def test_coordinate_derivatives_give_the_helix_tangent_jets(curve):
+    # the closed-form coordinate derivatives of orders 1-4 of either helix
+    # form map to the tangent and its first three derivatives
+    for s in GRID:
+        jets = curve.tangent_jets(s)
+        for order, jet in enumerate(jets):
+            want = curve.helix.derivative(s, order)
+            scale = max(1.0, *map(abs, want))
+            assert max(abs(a - b) for a, b in zip(jet, want)) <= 1e-12 * scale
 
 
 class TestB3ZeroCurves:
@@ -448,6 +485,19 @@ class TestMakeHelix:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             make_helix("lightlike", 0.5, 1.0)
+
+    @pytest.mark.parametrize("tilt", [math.inf, -math.inf])
+    def test_flat_kind_at_infinite_tilt_rejected(self, tilt):
+        # cos(±inf) raised a bare ValueError
+        with pytest.raises(InvalidInputError, match="shape must be finite"):
+            make_helix("timelike-flat", tilt, 1.0)
+
+    @pytest.mark.parametrize("kind", [["spacelike"], None, 0])
+    def test_kind_that_is_no_name_rejected(self, kind):
+        # the kinds are keys of a table; an unhashable kind must not raise
+        # TypeError from the lookup
+        with pytest.raises(InvalidInputError, match="unknown helix kind"):
+            make_helix(kind, 0.5, 1.0)
 
     def test_split_slope_accepted(self):
         plus_dd = make_helix("spacelike", 0.0, (2.0, 1e-18))

@@ -17,6 +17,7 @@ from hhcurves import (
     extended_frenet,
     frenet_over_grid,
     inner,
+    make_b3zero_linear,
     make_geodesic,
     make_spacelike_biharmonic,
     make_spacelike_horizontal,
@@ -152,6 +153,23 @@ class TestExtendedData:
         assert abs(
             inner(ext.nabla_t_n, data.b) + inner(data.n, ext.nabla_t_b)
         ) <= 1e-9
+
+
+    @pytest.mark.parametrize("curve", [
+        make_b3zero_linear("b3zero-spacelike", 0.4, 0.6, (0.0, 2.0)),
+        FrameCurve(make_timelike_biharmonic(0.7).helix.tangent),
+    ], ids=["closed-form-jets", "fd-jets"])
+    def test_takes_the_frame_only_route(self, curve, monkeypatch):
+        """The Frenet tuple comes from frenet_jets alone, the same call that
+        point_eval makes before its bitension routes, so it keeps its bits."""
+        want = [frenet_module.extended_from_flat(
+            frenet_module.point_data(curve, s)[0]) for s in (0.3, 0.9)]
+
+        def refuse(*args):
+            raise AssertionError("point_eval called")
+
+        monkeypatch.setattr(frenet_module._kernels, "point_eval", refuse)
+        assert [extended_frenet(curve, s) for s in (0.3, 0.9)] == want
 
 
 class TestDegeneracies:
