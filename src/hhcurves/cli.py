@@ -365,12 +365,9 @@ def _add_family_options(parser):
         help="closed-form family to instantiate",
     )
     for name, kind, help_text in _FLAG_TABLE:
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            group.add_argument(flag, action="store_true", default=None,
-                               help=help_text)
-        else:
-            group.add_argument(flag, type=kind, default=None, help=help_text)
+        value = {"action": "store_true"} if kind is bool else {"type": kind}
+        group.add_argument("--" + name.replace("_", "-"), default=None,
+                           help=help_text, **value)
 
 
 def _add_output_options(parser):
