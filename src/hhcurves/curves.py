@@ -16,16 +16,14 @@ three parameter derivatives — what the bitension field needs). Curves whose
 tangent has the hyperbolic-helix form carry a :class:`HelixSpec`, which lets
 downstream layers dispatch to the double-double kernel.
 
-Finite differencing uses order-2 central stencils with Richardson
-extrapolation ``(4·D(h/2) − D(h)) / 3``. A curve without closed-form
-derivatives takes all of its derivative orders in one pass per point
-(:func:`_fd_pass`) over a stencil source: its own function at ``s``, calling
-it at the 29 (coordinate) or 19 (frame) arguments that one stencil per order
-took, in the same order; or, for a sampled curve, the nodes around the node
-``s`` by offset, at 0 with a base step of two spacings. Per point this cut
-``tangent_jets`` from about 111 to 63 µs for an FD coordinate curve, from
-45 to 27 µs for a frame curve, and from about 35 to 18 µs for a sampled
-curve, which finds its node once (``tests/time_kernels.py``, 2-vCPU host).
+Both share one derivative backing (``_Backing``): the value callable, the
+optional closed-form derivatives, the FD step and, for a sampled curve, the
+node table. Finite differencing uses order-2 central stencils with
+Richardson extrapolation ``(4·D(h/2) − D(h)) / 3``. :func:`_fd_plan` lists
+each order's stencil as integer offsets k in half steps, and one pass per
+point reads a callable at ``s + k·h/2`` (29 arguments for a coordinate
+curve, 19 for a frame curve, the value at ``s`` first) or a sample table at
+``points[i + k]`` around node i, whose h is two spacings.
 
 Every threshold that depends on how a curve is backed is chosen here, from
 the curve alone: :func:`unit_speed_tol`, :func:`geodesic_tol` and
@@ -169,39 +167,42 @@ _STENCILS = {
 }
 
 
-def _fd_plan(orders, h):
-    """What :func:`_fd_pass` needs for derivatives ``orders`` at base step h.
+def _fd_plan(orders):
+    """The stencil pass that takes derivatives ``orders`` at base step h.
 
-    Returns ``(deltas, sums)``. The pass calls the function at ``s + delta``
-    for each delta in turn: for each order, its stencil at step h, then at
-    h/2, each ``delta`` being ``offset * step``. ``sums`` has one entry per
-    order: its first value's index in the pass, the stencil length, the
-    first weight, the later weights with their positions, the order and h.
+    Returns ``(offsets, multiples, sums)``. ``offsets`` are the integer
+    multiples of h/2 the pass reads, in turn: for each order, its stencil at
+    step h (each offset doubled), then at h/2 (as it is). ``multiples`` are
+    the same numbers as floats, which multiply h/2 faster. ``sums`` has one
+    entry per order: its first value's index in the pass, the stencil
+    length, the first weight, the later weights with their positions, and
+    the order.
     """
-    half = h / 2.0
-    deltas = []
+    offsets = []
     sums = []
     for order in orders:
-        offsets, weights = _STENCILS[order]
-        sums.append((len(deltas), len(offsets), weights[0],
-                     tuple(enumerate(weights))[1:], order, h))
-        deltas += [off * h for off in offsets]
-        deltas += [off * half for off in offsets]
-    return tuple(deltas), tuple(sums)
+        stencil, weights = _STENCILS[order]
+        sums.append((len(offsets), len(stencil), weights[0],
+                     tuple(enumerate(weights))[1:], order))
+        offsets += [2 * k for k in stencil] + list(stencil)
+    return tuple(offsets), tuple(map(float, offsets)), tuple(sums)
 
 
-def _fd_pass(f, s, plan):
-    """Finite-difference derivatives of ``f`` at ``s``, one per order of
-    ``plan`` (see :func:`_fd_plan`), from one pass of calls to ``f``.
+# The pass of each single order, and of the jets of each curve class
+_PLANS = {orders: _fd_plan(orders)
+          for orders in ((1,), (2,), (3,), (4,), (1, 2, 3), (1, 2, 3, 4))}
+
+
+def _fd_sums(values, sums, h):
+    """Finite-difference derivatives at base step h from the values a pass
+    read (see :func:`_fd_plan`), one per order of its ``sums``.
 
     Each stencil sum starts from its first weighted value and adds the others
     in stencil order, and is divided by step**order; the result is the
     Richardson extrapolation ``(4·D(h/2) − D(h)) / 3``.
     """
-    deltas, sums = plan
-    values = [f(s + d) for d in deltas]
     out = []
-    for k, n, w0, rest, order, h in sums:
+    for k, n, w0, rest, order in sums:
         scale, half_scale = h ** order, (h / 2.0) ** order
         derivative = []
         for c in zip(*values[k:k + 2 * n]):
@@ -215,6 +216,63 @@ def _fd_pass(f, s, plan):
     return tuple(out)
 
 
+class _Backing:
+    """The derivative backing of both curve classes.
+
+    It holds the value callable (coordinates, or the frame tangent), the
+    optional closed-form ``derivative(s, order)``, the FD step and the
+    optional sample table, and takes derivatives of the orders in
+    ``_ORDERS``. A subclass sets ``_ORDERS`` and ``_ORDER_MESSAGE``.
+    """
+
+    _ORDERS = (1, 2, 3, 4)
+    _ORDER_MESSAGE = "derivative order must be 1..4, got %r"
+
+    def __init__(self, value, derivative=None, fd=None, helix=None,
+                 samples=None):
+        self._value = value
+        self._derivative = derivative
+        self._fd = fd if fd is not None else FDConfig()
+        self._samples = samples
+        self.helix = helix
+
+    @property
+    def analytic(self):
+        return self._derivative is not None
+
+    def derivative(self, s, order):
+        """The ``order``-th parameter derivative of the value at ``s``."""
+        if order not in self._ORDERS:
+            raise InvalidInputError(self._ORDER_MESSAGE % (order,))
+        return self._derivatives(s, (order,), 0)[0]
+
+    def _derivatives(self, s, orders, head):
+        """The derivatives of each of ``orders`` at ``s``, after the value
+        at ``s`` itself when ``head`` is 1 (not when it is 0).
+
+        This is the one place the backing is chosen: closed forms, called
+        once per order; or one stencil pass (:func:`_fd_plan`) that reads,
+        for each half-step offset k, the value callable at ``s + k·h/2`` or
+        the sample table at ``points[i + k]`` around node i.
+        """
+        if self._derivative is not None:
+            closed = self._derivative
+            values = [tuple(map(float, self._value(s)))] if head else []
+            return tuple(values + [tuple(map(float, closed(s, m)))
+                                   for m in orders])
+        offsets, multiples, sums = _PLANS[orders]
+        table = self._samples
+        if table is None:
+            f, half = self._value, self._fd.step / 2.0
+            args = [s] * head + [s + k * half for k in multiples]
+            values = [tuple(map(float, f(t))) for t in args]
+        else:
+            i, points = table.interior_index(s), table.points
+            values = [points[i + k] for k in (0,) * head + offsets]
+        return (tuple(values[:head])
+                + _fd_sums(values[head:], sums, self._fd.step))
+
+
 def fd_derivative(f, s, order, cfg):
     """Finite-difference derivative of a vector-valued callable.
 
@@ -222,9 +280,7 @@ def fd_derivative(f, s, order, cfg):
     The order-2 stencil result is extrapolated from steps h and h/2, giving
     O(h⁴) accuracy.
     """
-    if order not in _STENCILS:
-        raise InvalidInputError("derivative order must be 1..4, got %r" % (order,))
-    return _fd_pass(f, s, _fd_plan((order,), cfg.step))[0]
+    return _Backing(f, fd=cfg).derivative(s, order)
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +331,19 @@ def _tangent_from_coordinate_jets(pos, derivs):
     return _finite_jets(tuple(jets))
 
 
-class CoordinateCurve:
+class CoordinateCurve(_Backing):
     """A curve in exponential coordinates with a pluggable derivative backing.
 
     Construct via :meth:`from_functions` (closed-form) or
     :meth:`from_samples` (uniform grid). ``analytic`` is True exactly when
     coordinate derivatives come from user-supplied closed forms rather than
-    finite differences.
+    finite differences; ``derivative(s, m)`` is the m-th coordinate
+    derivative, m = 1..4.
     """
 
     def __init__(self, position, derivative=None, fd=None, helix=None,
                  samples=None):
-        self._position = position
-        self._derivative = derivative
-        self._fd = fd if fd is not None else FDConfig()
-        self._samples = samples
-        self.helix = helix
-        # finite differences of orders 1-4, when they back the derivatives
-        self._fd_jets = (_fd_plan((1, 2, 3, 4), self._fd.step)
-                         if derivative is None else None)
+        super().__init__(position, derivative, fd, helix, samples)
 
     # -- constructors -------------------------------------------------------
 
@@ -347,15 +397,11 @@ class CoordinateCurve:
                     "(spacing %r vs %r at row %d)" % (step, d, i)
                 )
         sampled = _SampleTable(tuple(s_values), tuple(points), d)
-        # Richardson's half step is one spacing: the stencils ask only for
-        # 0, ±1, ±2 and ±4 spacings, each an exact product
+        # Richardson's half step is one spacing, so each half-step offset of
+        # the stencils is a node offset
         return cls(sampled.point, fd=FDConfig(step=2.0 * d), samples=sampled)
 
     # -- basic queries -------------------------------------------------------
-
-    @property
-    def analytic(self):
-        return self._derivative is not None
 
     @property
     def samples(self):
@@ -363,40 +409,18 @@ class CoordinateCurve:
         return self._samples
 
     def point(self, s):
-        return tuple(map(float, self._position(s)))
-
-    def _stencil_source(self, s):
-        """The function finite differences take at ``s``, and its argument:
-        ``point`` at s, or the sample nodes around s by offset, at 0."""
-        if self._samples is None:
-            return self.point, s
-        return self._samples.nodes_around(s), 0.0
-
-    def derivative(self, s, order):
-        """m-th coordinate derivative, m = 1..4."""
-        if order not in (1, 2, 3, 4):
-            raise InvalidInputError(
-                "derivative order must be 1..4, got %r" % (order,)
-            )
-        if self._derivative is not None:
-            return tuple(float(c) for c in self._derivative(s, order))
-        f, origin = self._stencil_source(s)
-        return fd_derivative(f, origin, order, self._fd)
+        return tuple(map(float, self._value(s)))
 
     def tangent(self, s):
         """Frame components of the tangent: ``(x', y', z'/2 + x'·y − x·y')``."""
-        x, y, _ = self.point(s)
-        d1 = self.derivative(s, 1)
+        x, y, _ = map(float, self._value(s))
+        d1 = self._derivatives(s, (1,), 0)[0]
         return (d1[0], d1[1], d1[2] / 2.0 + d1[0] * y - x * d1[1])
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives (frame comps)."""
-        if self._fd_jets is None:
-            return _tangent_from_coordinate_jets(
-                self.point(s), [self.derivative(s, m) for m in (1, 2, 3, 4)])
-        f, origin = self._stencil_source(s)
-        return _tangent_from_coordinate_jets(
-            f(origin), _fd_pass(f, origin, self._fd_jets))
+        jets = self._derivatives(s, (1, 2, 3, 4), 1)
+        return _tangent_from_coordinate_jets(jets[0], jets[1:])
 
 
 def _node_tol(s, spacing):
@@ -407,15 +431,13 @@ def _node_tol(s, spacing):
 
 
 class _SampleTable:
-    """Uniform-grid samples, and the nodes around each interior node that a
-    sampled curve's stencils take."""
+    """Uniform-grid samples, and the index of each interior node, around
+    which a sampled curve's stencils read the table."""
 
     def __init__(self, s_values, points, spacing):
         self.s_values = s_values
         self.points = points
         self.spacing = spacing
-        # node offset of each stencil argument k·spacing, |k| <= 4
-        self._offsets = {k * spacing: k for k in range(-4, 5)}
 
     def _index(self, s):
         tol = _node_tol(s, self.spacing)
@@ -434,9 +456,9 @@ class _SampleTable:
         """(lo, hi) inclusive node-index range where all jets are available."""
         return 4, len(self.s_values) - 5
 
-    def nodes_around(self, s):
-        """The function taking ``k·spacing`` to the k-th node from node
-        ``s``, |k| <= 4; raises when s is not a node of the interior."""
+    def interior_index(self, s):
+        """The index of node ``s``; raises when s is not a node of the
+        interior, whose stencils stay on the table."""
         i = self._index(s)
         lo, hi = self.interior_range()
         if not lo <= i <= hi:
@@ -444,8 +466,7 @@ class _SampleTable:
                 "node %d too close to the boundary for stencil derivatives "
                 "(valid interior is [%d, %d])" % (i, lo, hi)
             )
-        points, offsets = self.points, self._offsets
-        return lambda t: points[i + offsets[t]]
+        return i
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +474,7 @@ class _SampleTable:
 # ---------------------------------------------------------------------------
 
 
-class FrameCurve:
+class FrameCurve(_Backing):
     """A curve given by its tangent in frame components.
 
     ``tangent(s) → (T1, T2, T3)``; ``derivative(s, order) → (T1, T2, T3)``
@@ -462,40 +483,19 @@ class FrameCurve:
     when ``derivative`` is given.
     """
 
-    def __init__(self, tangent, derivative=None, fd=None, helix=None):
-        self._tangent = tangent
-        self._derivative = derivative
-        self._fd = fd if fd is not None else FDConfig()
-        self.helix = helix
-        # finite differences of orders 1-3, when they back the derivatives
-        self._fd_jets = (_fd_plan((1, 2, 3), self._fd.step)
-                         if derivative is None else None)
+    _ORDERS = (1, 2, 3)
+    _ORDER_MESSAGE = "tangent derivative order must be 1..3, got %r"
 
-    @property
-    def analytic(self):
-        return self._derivative is not None
+    def __init__(self, tangent, derivative=None, fd=None, helix=None):
+        super().__init__(tangent, derivative, fd, helix)
 
     def tangent(self, s):
-        return tuple(map(float, self._tangent(s)))
-
-    def derivative(self, s, order):
-        if order not in (1, 2, 3):
-            raise InvalidInputError(
-                "tangent derivative order must be 1..3, got %r" % (order,)
-            )
-        if self._derivative is not None:
-            return tuple(float(c) for c in self._derivative(s, order))
-        return fd_derivative(self.tangent, s, order, self._fd)
+        return tuple(map(float, self._value(s)))
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives; raises when one
         is not finite (see :func:`_finite_jets`)."""
-        t = self.tangent(s)
-        if self._fd_jets is not None:
-            derivs = _fd_pass(self.tangent, s, self._fd_jets)
-        else:
-            derivs = tuple(self.derivative(s, m) for m in (1, 2, 3))
-        return _finite_jets((t,) + derivs)
+        return _finite_jets(self._derivatives(s, (1, 2, 3), 1))
 
 
 # ---------------------------------------------------------------------------
