@@ -41,6 +41,7 @@ from hhcurves._kernels import _two_sum
 from hhcurves.errors import (
     InvalidInputError,
     MixedCausalityError,
+    NumericOverflowError,
     UnitSpeedError,
 )
 
@@ -144,10 +145,14 @@ class HelixSpec:
         return self.derivative(s, 0)
 
     def derivative(self, s, order):
-        """The ``order``-th parameter derivative of T; order 0 is T."""
-        u = self.slope_hi * s + self.phase
-        f = self.amp * self.slope_hi ** order
-        c, sh = math.cosh(u), math.sinh(u)
+        """The ``order``-th parameter derivative of T; order 0 is T. Raises
+        :class:`NumericOverflowError` where it leaves the doubles."""
+        try:
+            u = self.slope_hi * s + self.phase
+            f = self.amp * self.slope_hi ** order
+            c, sh = math.cosh(u), math.sinh(u)
+        except OverflowError as exc:
+            raise NumericOverflowError(str(exc)) from exc
         t3 = self.tilt if order == 0 else 0.0
         if (order % 2 == 1) == (self.form == 0):
             return (f * sh, f * c, t3)
@@ -157,6 +162,17 @@ class HelixSpec:
 # ---------------------------------------------------------------------------
 # Finite differencing
 # ---------------------------------------------------------------------------
+
+
+def _finite_parameter(s):
+    """Raise :class:`InvalidInputError` unless the curve parameter s is
+    finite; each public evaluator checks its s once."""
+    try:
+        if math.isfinite(s):
+            return
+    except OverflowError:  # an int past the doubles
+        pass
+    raise InvalidInputError("curve parameter must be finite, got %r" % (s,))
 
 # Central stencils of accuracy order 2: {order: (offsets, weights)}.
 _STENCILS = {
@@ -244,6 +260,7 @@ class _Backing:
         """The ``order``-th parameter derivative of the value at ``s``."""
         if order not in self._ORDERS:
             raise InvalidInputError(self._ORDER_MESSAGE % (order,))
+        _finite_parameter(s)
         return self._derivatives(s, (order,), 0)[0]
 
     def _derivatives(self, s, orders, head):
@@ -409,16 +426,19 @@ class CoordinateCurve(_Backing):
         return self._samples
 
     def point(self, s):
+        _finite_parameter(s)
         return tuple(map(float, self._value(s)))
 
     def tangent(self, s):
         """Frame components of the tangent: ``(x', y', z'/2 + x'·y − x·y')``."""
+        _finite_parameter(s)
         x, y, _ = map(float, self._value(s))
         d1 = self._derivatives(s, (1,), 0)[0]
         return (d1[0], d1[1], d1[2] / 2.0 + d1[0] * y - x * d1[1])
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives (frame comps)."""
+        _finite_parameter(s)
         jets = self._derivatives(s, (1, 2, 3, 4), 1)
         return _tangent_from_coordinate_jets(jets[0], jets[1:])
 
@@ -490,11 +510,13 @@ class FrameCurve(_Backing):
         super().__init__(tangent, derivative, fd, helix)
 
     def tangent(self, s):
+        _finite_parameter(s)
         return tuple(map(float, self._value(s)))
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives; raises when one
         is not finite (see :func:`_finite_jets`)."""
+        _finite_parameter(s)
         return _finite_jets(self._derivatives(s, (1, 2, 3), 1))
 
 

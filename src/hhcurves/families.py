@@ -218,16 +218,24 @@ def _helix_coordinate_curve(form, amp, tilt, slope_dd, phase, offsets):
     even, odd, sign = _FORMS[form]
     lin = 2.0 * (tilt + sign * (amp * amp / a))
 
+    # cosh and sinh past the doubles raise NumericOverflowError, with the
+    # text of their OverflowError, as _amp_tilt does
     def position(s):
         u = a * s + phase
-        ev, od = even(u), odd(u)
+        try:
+            ev, od = even(u), odd(u)
+        except OverflowError as exc:
+            raise NumericOverflowError(str(exc)) from exc
         return (ra * od + c1, ra * ev + c2,
                 lin * s + p_coef * ev - q_coef * od + c3)
 
     def derivative(s, order):
         u = a * s + phase
-        ev = _dm(u, a, order, (even, odd))
-        od = _dm(u, a, order, (odd, even))
+        try:
+            ev = _dm(u, a, order, (even, odd))
+            od = _dm(u, a, order, (odd, even))
+        except OverflowError as exc:
+            raise NumericOverflowError(str(exc)) from exc
         x, y, z = ra * od, ra * ev, p_coef * ev - q_coef * od
         if order == 1:
             z += lin
@@ -543,7 +551,14 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
 
     if beta is None:
         generator = math.sinh if spacelike else math.cosh
-        integrand = lambda sig: 2.0 * generator(value(sig))
+
+        def integrand(sig):
+            a = value(sig)
+            try:
+                return 2.0 * generator(a)
+            except OverflowError as exc:
+                raise NumericOverflowError(str(exc)) from exc
+
         last = (None, None)  # the key and β of the latest argument
 
         def beta(s):
@@ -556,23 +571,33 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
                 memo = last = (key, _integrate(integrand, s0, s))
             return memo[1]
 
+    # the profile and β are called outside each try, so that an exception of
+    # a caller's own callable propagates unchanged; cosh and sinh past the
+    # doubles raise NumericOverflowError with the text of their OverflowError
     def tangent(s):
         s = float(s)
         a, b = value(s), beta(s)
-        radial, axial = ((math.cosh(a), math.sinh(a)) if spacelike
-                         else (math.sinh(a), math.cosh(a)))
-        return (radial * math.cosh(b), radial * math.sinh(b), axial)
+        try:
+            radial, axial = ((math.cosh(a), math.sinh(a)) if spacelike
+                             else (math.sinh(a), math.cosh(a)))
+            return (radial * math.cosh(b), radial * math.sinh(b), axial)
+        except OverflowError as exc:
+            raise NumericOverflowError(str(exc)) from exc
 
     def derivative(s, order):
         s = float(s)
-        ach, ash = _jets_hyperbolic(alpha(s))
-        if spacelike:
-            radial, axial = ach, ash
-        else:
-            radial, axial = ash, ach
-        # β' = 2·(axial component of T3's generator): jets shift by one order
-        bj = (beta(s), 2.0 * axial[0], 2.0 * axial[1], 2.0 * axial[2])
-        bch, bsh = _jets_hyperbolic(bj)
+        profile, b = alpha(s), beta(s)
+        try:
+            ach, ash = _jets_hyperbolic(profile)
+            if spacelike:
+                radial, axial = ach, ash
+            else:
+                radial, axial = ash, ach
+            # β' = 2·(axial component of T3's generator): jets shift by one
+            bj = (b, 2.0 * axial[0], 2.0 * axial[1], 2.0 * axial[2])
+            bch, bsh = _jets_hyperbolic(bj)
+        except OverflowError as exc:
+            raise NumericOverflowError(str(exc)) from exc
         return (_jets_mul(radial, bch)[order], _jets_mul(radial, bsh)[order],
                 axial[order])
 
@@ -599,8 +624,14 @@ def make_b3zero_linear(kind, p, q, s_range):
     except (TypeError, IndexError, ValueError) as exc:
         raise InvalidInputError("s_range must be a pair of reals") from exc
     antiderivative = math.cosh if _b3zero_spacelike(kind) else math.sinh
-    beta = lambda s: (2.0 / q) * (antiderivative(p + q * s)
-                                  - antiderivative(p + q * s0))
+
+    def beta(s):
+        try:
+            return (2.0 / q) * (antiderivative(p + q * s)
+                                - antiderivative(p + q * s0))
+        except OverflowError as exc:
+            raise NumericOverflowError(str(exc)) from exc
+
     return make_b3zero_curve(kind, linear_profile(p, q), s_range, beta=beta)
 
 

@@ -324,6 +324,16 @@ class TestFamilyFlags:
         assert (code, out) == (2, "")
         assert err == "error: arithmetic failure: math range error\n"
 
+    def test_closed_form_past_the_doubles_is_an_arithmetic_failure(
+            self, capsys):
+        # the closed-form position raises NumericOverflowError now, with the
+        # text of the bare OverflowError it raised before
+        code, out, err = run_cli(["generate", "--family", "spacelike",
+                                  "--alpha0", "0.5", "--range",
+                                  "9999:10000:0.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: arithmetic failure: math range error\n"
+
     @pytest.mark.parametrize("span", ["0:400:25", "-400:0:25"])
     def test_out_of_exp_range_names_dd_exp(self, span, capsys):
         code, _, err = run_cli(["frenet", "--family", "spacelike", "--alpha0",

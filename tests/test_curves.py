@@ -14,6 +14,7 @@ from hhcurves import (
     HelixSpec,
     InvalidInputError,
     MixedCausalityError,
+    NumericOverflowError,
     UnitSpeedError,
     causal_character_of_curve,
     check_biharmonic_conditions,
@@ -22,6 +23,8 @@ from hhcurves import (
     fd_derivative,
     integrate_frame_curve,
     is_horizontal,
+    make_b3zero_curve,
+    make_b3zero_linear,
     make_helix,
     make_spacelike_biharmonic,
     make_spacelike_horizontal,
@@ -493,3 +496,141 @@ class TestHelixSpec:
             spec = HelixSpec(0, 1.0, 0.0, hi, lo)
             assert (repr(spec.slope_hi), repr(spec.slope_lo)) == (repr(hi),
                                                                    repr(lo))
+
+
+# --------------------------------------------------------------------------
+# The one derivative backing: parameters, orders and closed-form overflow
+# --------------------------------------------------------------------------
+
+def _tangent_callable(t):
+    return (math.cosh(t), math.sinh(t), 0.25 * t)
+
+
+_NODES = [-1.0 + 0.05 * i for i in range(41)]
+
+# One curve of each backing, and the public evaluators each class has.
+_BACKINGS = {
+    "coordinate-closed": lambda: make_spacelike_biharmonic(0.5),
+    "coordinate-fd": lambda: CoordinateCurve.from_functions(_smooth),
+    "coordinate-samples": lambda: CoordinateCurve.from_samples(
+        _NODES, [_smooth(s) for s in _NODES]),
+    "frame-closed": lambda: make_helix("spacelike", 0.4, 2.2),
+    "frame-b3zero": lambda: make_b3zero_linear("b3zero-spacelike", 0.4, 0.6,
+                                               (0, 1)),
+    "frame-fd": lambda: FrameCurve(_tangent_callable),
+}
+
+
+def _evaluators(curve):
+    calls = [curve.tangent, curve.tangent_jets,
+             lambda s: curve.derivative(s, 1)]
+    if isinstance(curve, CoordinateCurve):
+        calls.append(curve.point)
+    return calls
+
+
+class TestNonFiniteParameter:
+    @pytest.mark.parametrize("backing", sorted(_BACKINGS))
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int-past-doubles"])
+    def test_every_evaluator_rejects_it(self, backing, s):
+        # at the parent these returned NaN or inf coordinates, raised
+        # UnitSpeedError, or took node 0 of a sample table for NaN
+        curve = _BACKINGS[backing]()
+        for call in _evaluators(curve):
+            with pytest.raises(InvalidInputError,
+                               match="curve parameter must be finite"):
+                call(s)
+
+    def test_fd_callables_never_see_it(self):
+        seen = []
+
+        def record(t):
+            seen.append(t)
+            return _tangent_callable(t)
+
+        for curve in (CoordinateCurve.from_functions(record),
+                      FrameCurve(record)):
+            for call in _evaluators(curve):
+                with pytest.raises(InvalidInputError):
+                    call(math.inf)
+        with pytest.raises(InvalidInputError):
+            fd_derivative(record, math.nan, 1, FDConfig())
+        assert seen == []
+
+    def test_finite_parameters_still_evaluate(self):
+        for backing in sorted(_BACKINGS):
+            curve = _BACKINGS[backing]()
+            for call in _evaluators(curve):
+                assert all(map(math.isfinite, np.ravel(call(0.5))))
+
+
+class TestClosedFormOverflow:
+    @pytest.mark.parametrize("call", [
+        lambda: make_spacelike_biharmonic(0.5).point(1e4),
+        lambda: make_spacelike_biharmonic(0.5).tangent(1e4),
+        lambda: make_spacelike_biharmonic(0.5).tangent_jets(1e4),
+        lambda: make_spacelike_biharmonic(0.5).derivative(1e4, 3),
+        lambda: make_helix("spacelike", 0.4, 2.2).tangent(1e4),
+        lambda: make_helix("spacelike", 0.4, 2.2).derivative(1e4, 2),
+        lambda: make_b3zero_linear("b3zero-spacelike", 0.4, 0.6,
+                                   (0, 1)).tangent(1e4),
+        lambda: make_b3zero_linear("b3zero-timelike", 0.4, 0.6,
+                                   (0, 1)).tangent_jets(1e4),
+        lambda: compute_frenet(
+            FrameCurve(make_helix("spacelike", 0.4, 2.2).helix.tangent), 1e4),
+        lambda: make_b3zero_curve("b3zero-spacelike", lambda s: 800.0 * s,
+                                  (0.0, 2.0)).tangent(1.5),
+    ], ids=["point", "tangent", "tangent-jets", "derivative", "helix-tangent",
+            "helix-derivative", "b3zero-tangent", "b3zero-jets",
+            "fd-on-helix-spec", "b3zero-quadrature"])
+    def test_raises_a_library_error_with_the_same_text(self, call):
+        # at the parent each raised a bare OverflowError
+        with pytest.raises(NumericOverflowError, match="^math range error$"):
+            call()
+
+    def test_a_callers_own_exception_propagates_unchanged(self):
+        def position(s):
+            raise OverflowError("the caller's own")
+
+        for curve in (CoordinateCurve.from_functions(position),
+                      FrameCurve(position),
+                      make_b3zero_curve("b3zero-spacelike",
+                                        lambda s: 0.5 * s, (0.0, 1.0),
+                                        beta=position)):
+            with pytest.raises(OverflowError) as info:
+                curve.tangent(0.5)
+            assert type(info.value) is OverflowError
+
+
+_ORDER_CASES = {
+    "coordinate": (lambda cfg: CoordinateCurve.from_functions(
+        _tangent_callable, fd=cfg).derivative, 4,
+        "derivative order must be 1..4"),
+    "frame": (lambda cfg: FrameCurve(_tangent_callable, fd=cfg).derivative, 3,
+              "tangent derivative order must be 1..3"),
+    "fd_derivative": (lambda cfg: lambda s, m: fd_derivative(
+        _tangent_callable, s, m, cfg), 4, "derivative order must be 1..4"),
+}
+
+
+def _hex(vector):
+    return [float(c).hex() for c in vector]
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CASES))
+def test_orders_are_checked_and_each_takes_the_jets_path(name):
+    make, top, message = _ORDER_CASES[name]
+    cfg = FDConfig(step=1e-3)
+    derivative = make(cfg)
+    for bad in (0, top + 1):
+        with pytest.raises(InvalidInputError,
+                           match="^%s, got %d$" % (re.escape(message), bad)):
+            derivative(0.3, bad)
+    for s in (0.3, -0.0):
+        jets = FrameCurve(_tangent_callable, fd=cfg).tangent_jets(s)
+        for m in range(1, top + 1):
+            got = _hex(derivative(s, m))
+            assert got == _hex(fd_derivative(_tangent_callable, s, m, cfg))
+            if m <= 3:
+                assert got == _hex(jets[m])
