@@ -323,8 +323,10 @@ def coordinate_tangent_jets(position, s, step):
 
 
 def _sample_node(s_values, s):
-    i = bisect_left(s_values, s - 1e-9 * max(1.0, abs(s)))
-    if i >= len(s_values) or abs(s_values[i] - s) > 1e-9 * max(1.0, abs(s)):
+    # within 1e-9·max(1, |s|) of a node, and never a quarter spacing or more
+    tol = min(1e-9 * max(1.0, abs(s)), 0.25 * (s_values[1] - s_values[0]))
+    i = bisect_left(s_values, s - tol)
+    if i >= len(s_values) or abs(s_values[i] - s) > tol:
         raise InvalidInputError(
             "sampled curves can only be evaluated at grid nodes; "
             "%r is not one" % (s,)

@@ -257,16 +257,27 @@ def test_frame_fd_tangent_jets(tangent, s, step):
 NODE_VALUE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
 
 
+# (spacing, first node): moderate spacings near 0, where the node search
+# tolerance is 1e-9·max(1, |s|), and fine spacings far from 0, where a
+# quarter of the spacing bounds it
+SPACING_AND_START = st.one_of(
+    st.tuples(st.one_of(st.sampled_from([0.05, 0.1, 2.0**-4, 1e-3, 0.3]),
+                        st.floats(1e-4, 2.0)),
+              st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                        st.floats(-5.0, 5.0))),
+    st.tuples(st.sampled_from([1e-6, 3e-7, 2.0**-20, 1e-5]),
+              st.one_of(st.sampled_from([1000.0, -1000.0, 1e5]),
+                        st.floats(500.0, 1e5))),
+)
+
+
 @st.composite
 def sample_tables(draw):
     """A uniform node table with coordinates up to 1e200, and a parameter at
     an interior node, a boundary node, just off a node (inside and outside
     the search tolerance), between nodes or beyond either end."""
     n = draw(st.one_of(st.integers(9, 16), st.integers(2, 8)))
-    spacing = draw(st.one_of(st.sampled_from([0.05, 0.1, 2.0**-4, 1e-3, 0.3]),
-                             st.floats(1e-4, 2.0)))
-    s0 = draw(st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
-                        st.floats(-5.0, 5.0)))
+    spacing, s0 = draw(SPACING_AND_START)
     scale = draw(st.sampled_from([1.0, 1e-300, 1e100, 1e200]))
     s_values = [s0 + i * spacing for i in range(n)]
     points = [tuple(scale * c for c in draw(_vec(NODE_VALUE)))
