@@ -209,9 +209,10 @@ _PLANS = {orders: _fd_plan(orders)
           for orders in ((1,), (2,), (3,), (4,), (1, 2, 3), (1, 2, 3, 4))}
 
 
-def _fd_sums(values, sums, h):
+def _fd_sums(values, start, sums, h):
     """Finite-difference derivatives at base step h from the values a pass
-    read (see :func:`_fd_plan`), one per order of its ``sums``.
+    read (see :func:`_fd_plan`) from ``values[start]`` on, one per order of
+    its ``sums``.
 
     Each stencil sum starts from its first weighted value and adds the others
     in stencil order, and is divided by step**order; the result is the
@@ -221,7 +222,7 @@ def _fd_sums(values, sums, h):
     for k, n, w0, rest, order in sums:
         scale, half_scale = h ** order, (h / 2.0) ** order
         derivative = []
-        for c in zip(*values[k:k + 2 * n]):
+        for c in zip(*values[start + k:start + k + 2 * n]):
             a = w0 * c[0]
             b = w0 * c[n]
             for j, w in rest:
@@ -281,13 +282,13 @@ class _Backing:
         table = self._samples
         if table is None:
             f, half = self._value, self._fd.step / 2.0
-            args = [s] * head + [s + k * half for k in multiples]
-            values = [tuple(map(float, f(t))) for t in args]
+            values = [tuple(map(float, f(s)))] if head else []
+            values += [tuple(map(float, f(s + k * half))) for k in multiples]
         else:
             i, points = table.interior_index(s), table.points
             values = [points[i + k] for k in (0,) * head + offsets]
-        return (tuple(values[:head])
-                + _fd_sums(values[head:], sums, self._fd.step))
+        derivs = _fd_sums(values, head, sums, self._fd.step)
+        return (values[0],) + derivs if head else derivs
 
 
 def fd_derivative(f, s, order, cfg):
