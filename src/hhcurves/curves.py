@@ -174,6 +174,7 @@ def _finite_parameter(s):
         pass
     raise InvalidInputError("curve parameter must be finite, got %r" % (s,))
 
+
 # Central stencils of accuracy order 2: {order: (offsets, weights)}.
 _STENCILS = {
     1: ((-1, 1), (-0.5, 0.5)),
