@@ -8,7 +8,8 @@ determinant is 1, so it keeps ``[e1, e2] = 2·e3``) that preserves the
 ``(+, −)`` plane of the metric. Both leave k1, k2 and the causal signs of a
 curve unchanged, so a transformed curve must give the answers of the
 original. Each map takes a point ``(x, y, z)`` to its image; ``on_position``
-applies one to a position callable and ``on_points`` to a sample table.
+applies one to a position callable, ``on_points`` to a sample table and
+``on_rows`` to the rows of a curve CSV.
 """
 
 import math
@@ -44,3 +45,19 @@ def on_position(image, position):
 def on_points(image, points):
     """The images of a sample table's points, in order."""
     return [image(p) for p in points]
+
+
+def on_rows(image, text):
+    """The curve CSV ``s,x,y,z`` of the image of a curve CSV's positions.
+
+    ``text`` has the header ``s,x,y,z`` and possibly more columns (such as
+    the tangent columns ``generate`` writes); those are dropped, since a
+    boost turns the frame components of the tangent. Each value is written
+    with ``repr``, which reads back as the same double.
+    """
+    lines = text.strip().splitlines()
+    rows = ["s,x,y,z"]
+    for line in lines[1:]:
+        s, x, y, z = (float(c) for c in line.split(",")[:4])
+        rows.append(",".join(map(repr, (s,) + tuple(image((x, y, z))))))
+    return "\n".join(rows) + "\n"
