@@ -26,9 +26,9 @@ it. Randomized sweeps draw from a per-check generator seeded as
 ``[seed, registry_index]``, so two runs with the same seed produce
 byte-identical reports. The generator is a pure-Python PCG64 stream that
 reproduces ``numpy.random.default_rng([seed, registry_index])`` bit for bit
-(``SeedSequence`` seeding, XSL-RR output, NumPy's ``uniform`` and bounded
-``integers``), so a report does not depend on the installed NumPy and the
-checks never import ``numpy.random``. Only ``cross-properties`` and the
+(``SeedSequence`` seeding, XSL-RR output and NumPy's ``uniform``), so a
+report does not depend on the installed NumPy and the checks never import
+``numpy.random``. Only ``cross-properties`` and the
 helix grid pass import NumPy.
 """
 
@@ -154,7 +154,7 @@ def _vdiff(u, v):
 
 # ---------------------------------------------------------------------------
 # The seeded stream: numpy.random.default_rng(entropy), bit for bit, for the
-# two draws the checks take. NumPy's Generator does not promise the same
+# one draw the checks take. NumPy's Generator does not promise the same
 # stream across releases, and importing numpy.random costs about 6 MB.
 # ---------------------------------------------------------------------------
 
@@ -207,17 +207,15 @@ def _seed_state(entropy):
 
 class _Stream:
     """``numpy.random.default_rng(entropy)``'s PCG64 stream (XSL-RR output)
-    with its ``uniform`` and ``integers(low, high, size)``, bit for bit; a
-    sized draw returns a list."""
+    with its ``uniform``, bit for bit; a sized draw returns a list."""
 
-    __slots__ = ("_state", "_inc", "_half")
+    __slots__ = ("_state", "_inc")
 
     def __init__(self, entropy):
         s0, s1, i0, i1 = _seed_state(entropy)
         # pcg64_srandom_r: step from state 0, add the seed, step again
         self._inc = inc = ((i0 << 64 | i1) << 1 | 1) & _M128
         self._state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-        self._half = None  # NumPy's buffered upper 32 bits (has_uint32)
 
     def _next64(self, count):
         """The next ``count`` 64-bit outputs: step the 128-bit LCG, then
@@ -231,33 +229,10 @@ class _Stream:
         self._state = state
         return out
 
-    def _next32(self):
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        (x,) = self._next64(1)
-        self._half = x >> 32
-        return x & _M32
-
     def uniform(self, low=0.0, high=1.0, size=None):
         span = high - low
         out = [low + span * ((x >> 11) * 2.0 ** -53)
                for x in self._next64(1 if size is None else size)]
-        return out[0] if size is None else out
-
-    def integers(self, low, high, size=None):
-        """Lemire's bounded method on 32-bit halves, low half first; needs
-        ``2 <= high - low < 2**32``."""
-        span = high - low
-        if not 2 <= span <= _M32:
-            raise ValueError("integers needs 2 <= high - low < 2**32")
-        threshold = (2**32 - span) % span
-        out = []
-        for _ in range(1 if size is None else size):
-            m = self._next32() * span
-            while m & _M32 < threshold:
-                m = self._next32() * span
-            out.append(low + (m >> 32))
         return out[0] if size is None else out
 
 
@@ -387,8 +362,9 @@ def _check_cross_properties(rng):
         and tuple(_frame.cross(e2, e3)) == (-1.0, 0.0, 0.0)
         and tuple(_frame.cross(e3, e1)) == (0.0, 1.0, 0.0)
     )
+    # integers in [-3, 3]; any such triples must satisfy the laws exactly
     x, y, z = np.split(
-        np.array(rng.integers(-3, 4, 50 * 9), dtype=float).reshape(50, 9).T, 3)
+        np.floor(rng.uniform(-3.0, 4.0, 50 * 9)).reshape(50, 9).T, 3)
     cxy = np.array(cross(x, y))
     gxz, gyz = inner(x, z), inner(y, z)
     int_ok = bool(

@@ -6,6 +6,8 @@ draws from the generator. The batched check must give the same
 ``(status, max_residual, details)``.
 """
 
+import math
+
 from hhcurves import frame
 from hhcurves import verify
 
@@ -55,7 +57,8 @@ def check_cross_properties(rng):
     )
     int_ok = True
     for _ in range(50):
-        x, y, z = (tuple(int(c) for c in rng.integers(-3, 4, 3)) for _ in range(3))
+        x, y, z = (tuple(math.floor(c) for c in rng.uniform(-3.0, 4.0, 3))
+                   for _ in range(3))
         cxy = tuple(cross(x, y))
         if tuple(cross(y, x)) != tuple(-c for c in cxy):
             int_ok = False

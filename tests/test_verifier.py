@@ -121,7 +121,8 @@ class TestDeterminism:
 
 def _assert_same_draws(entropy):
     """Scalar and sized uniform draws at every bound the checks use, then
-    integers(-3, 4, n) for odd and even n between uniform draws."""
+    uniform(-3, 4, n), whose floors are cross-properties' integers, for odd
+    and even n between scalar draws."""
     ours, numpy_rng = _Stream(entropy), np.random.default_rng(entropy)
     for low, high in UNIFORM_BOUNDS:
         assert ours.uniform(low, high) == numpy_rng.uniform(low, high)
@@ -129,12 +130,9 @@ def _assert_same_draws(entropy):
             numpy_rng.uniform(low, high, 3).tolist())
     assert ours.uniform() == numpy_rng.uniform()
     for n in (1, 4, 7, 50, 451):
-        assert ours.integers(-3, 4, n) == numpy_rng.integers(-3, 4, n).tolist()
+        assert ours.uniform(-3.0, 4.0, n) == (
+            numpy_rng.uniform(-3.0, 4.0, n).tolist())
         assert ours.uniform(-1.0, 1.0) == numpy_rng.uniform(-1.0, 1.0)
-    assert ours.integers(-3, 4) == numpy_rng.integers(-3, 4)
-    # a range that rejects about one draw in four
-    assert ours.integers(0, 3 << 30, 40) == (
-        numpy_rng.integers(0, 3 << 30, 40).tolist())
     assert ours.uniform(-1.0, 1.0, 11) == (
         numpy_rng.uniform(-1.0, 1.0, 11).tolist())
 
@@ -157,18 +155,14 @@ class TestStream:
         _assert_same_draws([seed, index])
 
     def test_cross_properties_draws_match_default_rng(self):
-        # the one large draw: 1000 rows of 11, then 50 rows of 9 integers
+        # the one large draw: 1000 rows of 11, then 50 rows of 9 whose
+        # floors are the integer triples
         ours = _Stream([7, 3])
         numpy_rng = np.random.default_rng([7, 3])
         assert ours.uniform(-1.0, 1.0, 11000) == (
             numpy_rng.uniform(-1.0, 1.0, (1000, 11)).ravel().tolist())
-        assert ours.integers(-3, 4, 450) == (
-            numpy_rng.integers(-3, 4, (50, 9)).ravel().tolist())
-
-    def test_unsupported_integer_range_rejected(self):
-        for low, high in ((0, 1), (0, 2**32 + 1), (4, -3)):
-            with pytest.raises(ValueError):
-                _Stream([7, 0]).integers(low, high, 3)
+        assert ours.uniform(-3.0, 4.0, 450) == (
+            numpy_rng.uniform(-3.0, 4.0, (50, 9)).ravel().tolist())
 
 
 class TestReportSchema:
