@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from hhcurves import _kernels
 from hhcurves.curves import (
@@ -138,25 +139,29 @@ class FrenetGridSummary:
 
 def _evaluate(curve, s, jets_kernel):
     """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
-    curves, else ``jets_kernel`` of the projected tangent jets."""
+    curves, else ``jets_kernel`` of the projected tangent jets; raises
+    :class:`NumericOverflowError` when any value is not finite."""
     geo_tol = geodesic_tol(curve)
     hx = getattr(curve, "helix", None)
     if hx is not None:
-        return _kernels.helix_eval(
-            hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
-            float(s), geo_tol,
-        )
-    jets = curve.tangent_jets(s)
-    try:
-        return jets_kernel(
-            _kernels.project_unit_jets(jets, unit_speed_tol(curve)), geo_tol)
-    except (ValueError, OverflowError) as exc:
-        if isinstance(exc, HHCurvesError):
-            raise
-        # math.fsum meets inf - inf, or a partial sum past DBL_MAX, once
-        # products of the jets overflow
+        out = _kernels.helix_eval(hx.form, hx.amp, hx.tilt, hx.slope_hi,
+                                  hx.slope_lo, hx.phase, float(s), geo_tol)
+    else:
+        jets = curve.tangent_jets(s)
+        try:
+            out = jets_kernel(_kernels.project_unit_jets(
+                jets, unit_speed_tol(curve)), geo_tol)
+        except (ValueError, OverflowError) as exc:
+            if isinstance(exc, HHCurvesError):
+                raise
+            # math.fsum meets inf - inf, or a partial sum past DBL_MAX, once
+            # products of the jets overflow
+            raise NumericOverflowError(
+                "jet arithmetic overflows: %s" % (exc,)) from exc
+    if not all(map(math.isfinite, chain.from_iterable(out))):
         raise NumericOverflowError(
-            "jet arithmetic overflows: %s" % (exc,)) from exc
+            "the Frenet data at s=%r is not finite" % (s,))
+    return out
 
 
 def _frame_jets(jets, geo_tol):

@@ -334,7 +334,17 @@ class TestFamilyFlags:
         assert (code, out) == (2, "")
         assert err == "error: arithmetic failure: math range error\n"
 
-    @pytest.mark.parametrize("span", ["0:400:25", "-400:0:25"])
+    def test_frenet_data_that_is_not_finite_is_an_arithmetic_failure(
+            self, capsys):
+        # the NaN row was caught only when the CSV was written
+        code, out, err = run_cli(["frenet", "--family",
+                                  "timelike-horizontal-helix", "--m", "1e300",
+                                  "--range", "0:1e-300:1e-300"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: arithmetic failure: the Frenet data at s=0.0 "
+                       "is not finite\n")
+
+    @pytest.mark.parametrize("span", ["300:400:25", "-400:0:25"])
     def test_out_of_exp_range_names_dd_exp(self, span, capsys):
         code, _, err = run_cli(["frenet", "--family", "spacelike", "--alpha0",
                                 "0.5", "--range", span], capsys)
@@ -616,7 +626,11 @@ class TestFrenet:
         assert err.startswith("error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("grid, message", [
-        ("0:400:25", "dd_exp argument too large"),
+        # from s = 150 the double-double helix overflows to NaN, and from
+        # s = 275 its exp argument leaves the domain; the first such point
+        # names the failure
+        ("0:400:25", "the Frenet data at s=150.0 is not finite"),
+        ("300:400:25", "dd_exp argument too large"),
         ("-400:0:25", "dd_exp argument too small"),
     ])
     def test_exp_domain_is_an_arithmetic_failure(self, grid, message, capsys):

@@ -11,6 +11,7 @@ from hhcurves import (
     GeodesicDegenerateError,
     InvalidInputError,
     NullNormalDegenerateError,
+    NumericOverflowError,
     UnitSpeedError,
     compute_frenet,
     covariant_derivative_along,
@@ -22,6 +23,7 @@ from hhcurves import (
     make_spacelike_biharmonic,
     make_spacelike_horizontal,
     make_timelike_biharmonic,
+    make_timelike_horizontal_helix,
 )
 from hhcurves import biharmonic
 from hhcurves import frenet as frenet_module
@@ -268,3 +270,50 @@ class TestGridApi:
         assert tuple(fr[14:17]) == tuple(data.b)
         assert len(tau_direct) == 3
         assert len(tau_frenet) == 3
+
+
+def _fast_helix():
+    """A frame curve of tangent ``(cosh 0.3·cosh(w·s), cosh 0.3·sinh(w·s),
+    sinh 0.3)`` at w = 1e80, with closed-form derivatives: at s = 0 its k1″
+    and τ_frenet were NaN."""
+    ch, sh, w = math.cosh(0.3), math.sinh(0.3), 1e80
+
+    def derivative(s, order):
+        f = ch * w ** order
+        c, h = math.cosh(w * s), math.sinh(w * s)
+        return (f * h, f * c, 0.0) if order % 2 else (f * c, f * h, 0.0)
+
+    def tangent(s):
+        return (ch * math.cosh(w * s), ch * math.sinh(w * s), sh)
+
+    return FrameCurve(tangent, derivative=derivative)
+
+
+class TestNonFiniteFrenetData:
+    """Frenet data that is not finite raises NumericOverflowError, on the
+    helix kernel, the grid pass and the jets route alike."""
+
+    def test_helix_kernel(self):
+        # m = 1e300: k1, k2, N, B and both τ₂ were NaN
+        curve = make_timelike_horizontal_helix(1e300)
+        for evaluate in (frenet_module.point_data, compute_frenet,
+                         extended_frenet):
+            with pytest.raises(NumericOverflowError, match="not finite"):
+                evaluate(curve, 0.0)
+        with pytest.raises(NumericOverflowError):
+            biharmonic.residual_norms(curve, [0.0, 1e-300])
+        with pytest.raises(NumericOverflowError):
+            # the verdict was NotBiharmonic
+            biharmonic.check_biharmonic_conditions(curve, [0.0, 1e-300])
+
+    def test_grid_pass(self):
+        curve = make_timelike_horizontal_helix(1e300)
+        pairs = [(curve, 1e-300 * i) for i in range(16)]
+        with pytest.raises(NumericOverflowError):
+            list(frenet_module.evaluate_points(pairs))
+
+    def test_jets_route(self):
+        curve = _fast_helix()
+        for evaluate in (frenet_module.point_data, compute_frenet):
+            with pytest.raises(NumericOverflowError, match="not finite"):
+                evaluate(curve, 0.0)
