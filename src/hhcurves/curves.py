@@ -16,9 +16,9 @@ three parameter derivatives — what the bitension field needs). Curves whose
 tangent has the hyperbolic-helix form carry a :class:`HelixSpec`, which lets
 downstream layers dispatch to the double-double kernel.
 
-Both share one derivative backing (``_Backing``): the value callable, the
-optional closed-form derivatives, the FD step and, for a sampled curve, the
-node table. Finite differencing uses order-2 central stencils with
+Both share one derivative backing (``_Backing``) with one source, fixed when
+the curve is built: closed forms or an FD step from the caller, or a node
+table from the library (:func:`_built`). Finite differencing uses order-2 central stencils with
 Richardson extrapolation ``(4·D(h/2) − D(h)) / 3``. :func:`_fd_plan` lists
 each order's stencil as integer offsets k in half steps, and one pass per
 point reads a callable at ``s + k·h/2`` (29 arguments for a coordinate
@@ -237,30 +237,37 @@ def _fd_sums(values, start, sums, h):
 class _Backing:
     """The derivative backing of both curve classes.
 
-    It holds the value callable (coordinates, or the frame tangent), the
-    optional closed-form ``derivative(s, order)``, the FD step and the
-    optional sample table, and takes derivatives of the orders in
-    ``_ORDERS``. A subclass sets ``_ORDERS`` and ``_ORDER_MESSAGE``.
+    It holds the value callable (coordinates, or the frame tangent) and one
+    source of derivatives: the closed-form ``derivative(s, order)``, the
+    step of an :class:`FDConfig`, or a node table (see :func:`_built`). It
+    takes derivatives of the orders in ``_ORDERS``, which a subclass sets
+    with ``_ORDER_MESSAGE``.
     """
 
     _ORDERS = (1, 2, 3, 4)
     _ORDER_MESSAGE = "derivative order must be 1..4, got %r"
 
-    def __init__(self, value, derivative=None, fd=None, helix=None,
-                 samples=None):
+    def __init__(self, value, derivative=None, fd=None):
+        if derivative is not None and fd is not None:
+            raise InvalidInputError(
+                "closed-form derivatives and an FD step exclude each other")
         self._value = value
         self._derivative = derivative
-        self._fd = fd if fd is not None else FDConfig()
-        self._samples = samples
-        self.helix = helix
+        self._step = None if derivative else (fd or FDConfig()).step
+        self._samples = None
+        self._helix = None
 
     @property
     def analytic(self):
         return self._derivative is not None
 
+    @property
+    def helix(self):
+        return self._helix
+
     def derivative(self, s, order):
         """The ``order``-th parameter derivative of the value at ``s``."""
-        if order not in self._ORDERS:
+        if type(order) is not int or order not in self._ORDERS:
             raise InvalidInputError(self._ORDER_MESSAGE % (order,))
         _finite_parameter(s)
         return self._derivatives(s, (order,), 0)[0]
@@ -282,13 +289,13 @@ class _Backing:
         offsets, multiples, sums = _PLANS[orders]
         table = self._samples
         if table is None:
-            f, half = self._value, self._fd.step / 2.0
+            f, half = self._value, self._step / 2.0
             values = [tuple(map(float, f(s)))] if head else []
             values += [tuple(map(float, f(s + k * half))) for k in multiples]
         else:
             i, points = table.interior_index(s), table.points
             values = [points[i + k] for k in (0,) * head + offsets]
-        derivs = _fd_sums(values, head, sums, self._fd.step)
+        derivs = _fd_sums(values, head, sums, self._step)
         return (values[0],) + derivs if head else derivs
 
 
@@ -300,6 +307,17 @@ def fd_derivative(f, s, order, cfg):
     O(h⁴) accuracy.
     """
     return _Backing(f, fd=cfg).derivative(s, order)
+
+
+def _built(cls, value, derivative=None, helix=None, samples=None):
+    """A curve of class ``cls`` with a helix spec or a node table. The table
+    is read at a step of two spacings: Richardson's half step is one
+    spacing, so each half-step offset of the stencils is a node offset."""
+    curve = cls(value, derivative)
+    curve._helix = helix
+    if samples is not None:
+        curve._samples, curve._step = samples, 2.0 * samples.spacing
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +378,16 @@ class CoordinateCurve(_Backing):
     derivative, m = 1..4.
     """
 
-    def __init__(self, position, derivative=None, fd=None, helix=None,
-                 samples=None):
-        super().__init__(position, derivative, fd, helix, samples)
+    def __init__(self, position, derivative=None, fd=None):
+        super().__init__(position, derivative, fd)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_functions(cls, position, derivative=None, fd=None, helix=None):
-        """Closed-form backing: ``position(s) → (x, y, z)`` and optionally
-        ``derivative(s, order) → (x, y, z)`` for orders 1..4."""
-        return cls(position, derivative=derivative, fd=fd, helix=helix)
+    def from_functions(cls, position, derivative=None, fd=None):
+        """``position(s) → (x, y, z)`` with closed-form ``derivative(s, order)
+        → (x, y, z)`` for orders 1..4, or with the FD step ``fd``."""
+        return cls(position, derivative=derivative, fd=fd)
 
     @classmethod
     def from_samples(cls, s_values, points):
@@ -416,9 +433,7 @@ class CoordinateCurve(_Backing):
                     "(spacing %r vs %r at row %d)" % (step, d, i)
                 )
         sampled = _SampleTable(tuple(s_values), tuple(points), d)
-        # Richardson's half step is one spacing, so each half-step offset of
-        # the stencils is a node offset
-        return cls(sampled.point, fd=FDConfig(step=2.0 * d), samples=sampled)
+        return _built(cls, sampled.point, samples=sampled)
 
     # -- basic queries -------------------------------------------------------
 
@@ -501,15 +516,15 @@ class FrameCurve(_Backing):
 
     ``tangent(s) → (T1, T2, T3)``; ``derivative(s, order) → (T1, T2, T3)``
     parameter derivatives for orders 1..3 when closed forms exist, otherwise
-    finite differences on the tangent are used. ``analytic`` is True exactly
-    when ``derivative`` is given.
+    finite differences on the tangent are used, at the step of ``fd``.
+    ``analytic`` is True exactly when ``derivative`` is given.
     """
 
     _ORDERS = (1, 2, 3)
     _ORDER_MESSAGE = "tangent derivative order must be 1..3, got %r"
 
-    def __init__(self, tangent, derivative=None, fd=None, helix=None):
-        super().__init__(tangent, derivative, fd, helix)
+    def __init__(self, tangent, derivative=None, fd=None):
+        super().__init__(tangent, derivative, fd)
 
     def tangent(self, s):
         _finite_parameter(s)
@@ -690,9 +705,8 @@ def check_unit_speed(curve, grid):
     """Verify ``| |inner(T, T)| − 1 | <= unit_speed_tol(curve)`` on the grid.
 
     Returns the max deviation; raises :class:`UnitSpeedError` beyond the
-    tolerance. The library never silently renormalizes: Frenet-dependent
-    operations call this (or the jet-level equivalent) and error out on
-    failure.
+    tolerance. Nothing in the library calls it; the Frenet layer gates unit
+    speed on the tangent jets instead (``_kernels.project_unit_jets``).
     """
     tol = unit_speed_tol(curve)
     worst = 0.0

@@ -37,6 +37,7 @@ from hhcurves.curves import (
     FDConfig,
     FrameCurve,
     HelixSpec,
+    _built,
     fd_derivative,
 )
 from hhcurves.errors import (
@@ -201,7 +202,7 @@ def _dm(u, a, m, pair):
 
 def _helix_frame_curve(form, amp, tilt, slope_dd, phase):
     spec = HelixSpec(form, amp, tilt, slope_dd[0], slope_dd[1], phase)
-    return FrameCurve(spec.tangent, derivative=spec.derivative, helix=spec)
+    return _built(FrameCurve, spec.tangent, spec.derivative, helix=spec)
 
 
 def _helix_coordinate_curve(form, amp, tilt, slope_dd, phase, offsets):
@@ -241,8 +242,7 @@ def _helix_coordinate_curve(form, amp, tilt, slope_dd, phase, offsets):
             z += lin
         return (x, y, z)
 
-    return CoordinateCurve.from_functions(position, derivative=derivative,
-                                          helix=spec)
+    return _built(CoordinateCurve, position, derivative, helix=spec)
 
 
 def _biharmonic_member(kind, shape, branch, phase, offsets, as_printed):

@@ -597,14 +597,24 @@ class TestClosedFormOverflow:
             assert type(info.value) is OverflowError
 
 
+# name: (derivative of the case's curve at an FD config, its top order, the
+# message of a rejected order, whether it is finite-differenced)
 _ORDER_CASES = {
     "coordinate": (lambda cfg: CoordinateCurve.from_functions(
         _tangent_callable, fd=cfg).derivative, 4,
-        "derivative order must be 1..4"),
+        "derivative order must be 1..4", True),
     "frame": (lambda cfg: FrameCurve(_tangent_callable, fd=cfg).derivative, 3,
-              "tangent derivative order must be 1..3"),
+              "tangent derivative order must be 1..3", True),
     "fd_derivative": (lambda cfg: lambda s, m: fd_derivative(
-        _tangent_callable, s, m, cfg), 4, "derivative order must be 1..4"),
+        _tangent_callable, s, m, cfg), 4, "derivative order must be 1..4",
+        True),
+    "coordinate-closed-form": (
+        lambda cfg: make_spacelike_biharmonic(0.5).derivative, 4,
+        "derivative order must be 1..4", False),
+    "frame-closed-form": (
+        lambda cfg: make_b3zero_linear(
+            "b3zero-spacelike", 0.4, 0.6, (0, 1)).derivative, 3,
+        "tangent derivative order must be 1..3", False),
 }
 
 
@@ -614,13 +624,18 @@ def _hex(vector):
 
 @pytest.mark.parametrize("name", sorted(_ORDER_CASES))
 def test_orders_are_checked_and_each_takes_the_jets_path(name):
-    make, top, message = _ORDER_CASES[name]
+    make, top, message, fd = _ORDER_CASES[name]
     cfg = FDConfig(step=1e-3)
     derivative = make(cfg)
-    for bad in (0, top + 1):
-        with pytest.raises(InvalidInputError,
-                           match="^%s, got %d$" % (re.escape(message), bad)):
+    # an order of any type but int is rejected, though 1.0 == True == 1
+    for bad in (0, top + 1, 1.0, True):
+        with pytest.raises(InvalidInputError, match="^%s, got %s$" % (
+                re.escape(message), re.escape(repr(bad)))):
             derivative(0.3, bad)
+    if not fd:
+        for m in range(1, top + 1):
+            assert all(map(math.isfinite, derivative(0.3, m)))
+        return
     for s in (0.3, -0.0):
         jets = FrameCurve(_tangent_callable, fd=cfg).tangent_jets(s)
         for m in range(1, top + 1):
@@ -628,3 +643,51 @@ def test_orders_are_checked_and_each_takes_the_jets_path(name):
             assert got == _hex(fd_derivative(_tangent_callable, s, m, cfg))
             if m <= 3:
                 assert got == _hex(jets[m])
+
+
+class TestBackingIsFixedByItsConstructor:
+    """Only the constructor that builds a curve picks its backing: a caller
+    gives closed forms or an FD step, never both, and neither a helix spec
+    nor a node table."""
+
+    CONSTRUCTORS = {
+        "coordinate": CoordinateCurve,
+        "from_functions": CoordinateCurve.from_functions,
+        "frame": FrameCurve,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_helix_is_not_an_argument(self, name):
+        # a geodesic tangent carrying a helix spec had the helix's k1
+        spec = make_helix("spacelike", 0.4, 2.2).helix
+        with pytest.raises(TypeError):
+            self.CONSTRUCTORS[name](lambda s: (0.0, 0.0, 1.0),
+                                    derivative=lambda s, o: (0.0, 0.0, 0.0),
+                                    helix=spec)
+
+    def test_samples_is_not_an_argument(self):
+        # a callable beside a node table read the table at the FD step
+        line = CoordinateCurve.from_samples(
+            [0.01 * i for i in range(21)],
+            [(0.01 * i, 0.0, 0.0) for i in range(21)])
+        with pytest.raises(TypeError):
+            CoordinateCurve(lambda s: (5.0, 7.0, 0.0), samples=line.samples)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_closed_forms_and_an_fd_step_exclude_each_other(self, name):
+        # the step was stored beside closed forms and never read
+        with pytest.raises(InvalidInputError,
+                           match="^closed-form derivatives and an FD step "
+                                 "exclude each other$"):
+            self.CONSTRUCTORS[name](_smooth, derivative=_smooth_derivative,
+                                    fd=FDConfig(step=1e-3))
+
+    def test_family_curves_carry_a_helix_that_cannot_be_assigned(self):
+        for curve in (make_spacelike_biharmonic(0.5),
+                      make_helix("timelike", 0.3, 1.5)):
+            assert isinstance(curve.helix, HelixSpec) and curve.analytic
+            with pytest.raises(AttributeError):
+                curve.helix = None
+        sampled = CoordinateCurve.from_samples(GRID, [_smooth(s) for s in GRID])
+        for curve in (CoordinateCurve(_smooth), FrameCurve(_smooth), sampled):
+            assert curve.helix is None and not curve.analytic
