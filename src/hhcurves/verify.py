@@ -28,8 +28,8 @@ byte-identical reports. The generator is a pure-Python PCG64 stream that
 reproduces ``numpy.random.default_rng([seed, registry_index])`` bit for bit
 (``SeedSequence`` seeding, XSL-RR output and NumPy's ``uniform``), so a
 report does not depend on the installed NumPy and the checks never import
-``numpy.random``. Only ``cross-properties`` and the
-helix grid pass import NumPy.
+``numpy.random``. Only ``cross-properties`` and the helix grid pass import
+NumPy.
 """
 
 from __future__ import annotations

@@ -336,7 +336,7 @@ class TestFamilyFlags:
 
     def test_frenet_data_that_is_not_finite_is_an_arithmetic_failure(
             self, capsys):
-        # the NaN row was caught only when the CSV was written
+        # the kernel's NaN data raises at its point, before any row is built
         code, out, err = run_cli(["frenet", "--family",
                                   "timelike-horizontal-helix", "--m", "1e300",
                                   "--range", "0:1e-300:1e-300"], capsys)

@@ -658,7 +658,7 @@ class TestBackingIsFixedByItsConstructor:
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
     def test_helix_is_not_an_argument(self, name):
-        # a geodesic tangent carrying a helix spec had the helix's k1
+        # a helix spec beside a geodesic tangent would give the helix's k1
         spec = make_helix("spacelike", 0.4, 2.2).helix
         with pytest.raises(TypeError):
             self.CONSTRUCTORS[name](lambda s: (0.0, 0.0, 1.0),
@@ -666,7 +666,7 @@ class TestBackingIsFixedByItsConstructor:
                                     helix=spec)
 
     def test_samples_is_not_an_argument(self):
-        # a callable beside a node table read the table at the FD step
+        # a callable beside a node table would read the table at the FD step
         line = CoordinateCurve.from_samples(
             [0.01 * i for i in range(21)],
             [(0.01 * i, 0.0, 0.0) for i in range(21)])
@@ -675,7 +675,7 @@ class TestBackingIsFixedByItsConstructor:
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
     def test_closed_forms_and_an_fd_step_exclude_each_other(self, name):
-        # the step was stored beside closed forms and never read
+        # a step beside closed forms would be stored and never read
         with pytest.raises(InvalidInputError,
                            match="^closed-form derivatives and an FD step "
                                  "exclude each other$"):

@@ -275,7 +275,7 @@ class TestGridApi:
 def _fast_helix():
     """A frame curve of tangent ``(cosh 0.3·cosh(w·s), cosh 0.3·sinh(w·s),
     sinh 0.3)`` at w = 1e80, with closed-form derivatives: at s = 0 its k1″
-    and τ_frenet were NaN."""
+    and τ_frenet overflow to NaN."""
     ch, sh, w = math.cosh(0.3), math.sinh(0.3), 1e80
 
     def derivative(s, order):
@@ -294,7 +294,7 @@ class TestNonFiniteFrenetData:
     helix kernel, the grid pass and the jets route alike."""
 
     def test_helix_kernel(self):
-        # m = 1e300: k1, k2, N, B and both τ₂ were NaN
+        # m = 1e300: k1, k2, N, B and both τ₂ overflow to NaN at s = 0
         curve = make_timelike_horizontal_helix(1e300)
         for evaluate in (frenet_module.point_data, compute_frenet,
                          extended_frenet):
@@ -303,7 +303,7 @@ class TestNonFiniteFrenetData:
         with pytest.raises(NumericOverflowError):
             biharmonic.residual_norms(curve, [0.0, 1e-300])
         with pytest.raises(NumericOverflowError):
-            # the verdict was NotBiharmonic
+            # no verdict, where NaN residuals would read as NotBiharmonic
             biharmonic.check_biharmonic_conditions(curve, [0.0, 1e-300])
 
     def test_grid_pass(self):
