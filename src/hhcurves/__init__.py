@@ -12,8 +12,8 @@ frame. The package provides:
   the independent re-derivations used as oracles;
 - :mod:`hhcurves.curves` — curve containers (coordinate- or tangent-backed),
   finite-difference jets, CSV ingestion, RK4 coordinate integration;
-- :mod:`hhcurves.frenet` — the Frenet apparatus (k1, k2, frame, sign triple)
-  with degeneracy detection;
+- :mod:`hhcurves.frenet` — the Frenet apparatus (k1, k2, frame, sign triple,
+  and the derivative data of the bitension field) with degeneracy detection;
 - :mod:`hhcurves.biharmonic` — the bitension field along two independent
   routes and the biharmonicity condition checker;
 - :mod:`hhcurves.families` — closed-form curve families (proper-biharmonic
@@ -93,7 +93,6 @@ _EXPORTS = {
     ),
     "frenet": (
         "FrenetData",
-        "ExtendedFrenetData",
         "FrenetGridSummary",
         "compute_frenet",
         "extended_frenet",

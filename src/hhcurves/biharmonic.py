@@ -86,13 +86,13 @@ def bitension_frenet_at(curve, s):
     return FrameVector(*tau)
 
 
-def bitension_frenet(ext):
-    """Bitension field recombined from :class:`ExtendedFrenetData`.
+def bitension_frenet(data):
+    """Bitension field recombined from a :class:`~hhcurves.frenet.FrenetData`.
 
     This is the pure double-precision recombination; it matches
     :func:`bitension_frenet_at` up to rounding of the stored Frenet data.
     """
-    return FrameVector(*_tau_from_frenet(_frenet.flat_from_extended(ext)))
+    return FrameVector(*_tau_from_frenet(data))
 
 
 def identity_defect(k1, k2, eps1, eps3, b3):
@@ -134,7 +134,7 @@ def check_biharmonic_conditions(curve, grid):
         raise InvalidInputError("grid must be non-empty")
     tol = verdict_tol(curve)
 
-    rows = []
+    frames = []
     res_d = []
     res_f = []
     degenerate = 0
@@ -148,7 +148,7 @@ def check_biharmonic_conditions(curve, grid):
                 res_d.append(float("nan"))
             res_f.append(float("nan"))
             continue
-        rows.append(_frenet.frame_scalars(res[0]))
+        frames.append(res[0])
         res_d.append(_enorm(res[1]))
         res_f.append(_enorm(res[2]))
 
@@ -162,32 +162,28 @@ def check_biharmonic_conditions(curve, grid):
             tol=tol,
         )
 
-    k1s, k2s, _, _, _, n3s, b3s = zip(*rows)
-    _, _, e1, _, e3, _, _ = rows[0]
-    k1_mean, k1_dev = _frenet._mean_max_dev(k1s)
-    k2_mean, k2_dev = _frenet._mean_max_dev(k2s)
-    n3b3_max = max(abs(n3 * b3) for n3, b3 in zip(n3s, b3s))
+    summ = _frenet.summarize_frames(grid, frames)
+    e1, e3 = frames[0].eps1, frames[0].eps3
+    n3b3_max = max(abs(d.n3 * d.b3) for d in frames)
     defect_max = max(
-        abs(identity_defect(k1, k2, e1, e3, b3))
-        for k1, k2, b3 in zip(k1s, k2s, b3s)
+        abs(identity_defect(d.k1, d.k2, e1, e3, d.b3)) for d in frames
     )
     conditions = {
-        "k1_mean": k1_mean,
-        "k2_mean": k2_mean,
-        "k1_max_dev": k1_dev,
-        "k2_max_dev": k2_dev,
+        "k1_mean": summ.k1_mean,
+        "k2_mean": summ.k2_mean,
+        "k1_max_dev": summ.k1_max_dev,
+        "k2_max_dev": summ.k2_max_dev,
         "n3b3_max": n3b3_max,
         "identity_defect_max": defect_max,
     }
-    if abs(k2_mean) <= tol:
+    if abs(summ.k2_mean) <= tol:
         # zero-torsion reduction of the identity: k1² = ε1·(ε3 + 4·B3²)
         conditions["k2_zero_form_defect"] = max(
-            abs(k1 * k1 - e1 * (e3 + 4.0 * b3 * b3))
-            for k1, b3 in zip(k1s, b3s)
+            abs(d.k1 * d.k1 - e1 * (e3 + 4.0 * d.b3 * d.b3)) for d in frames
         )
     ok = (
-        k1_dev <= tol * (1.0 + abs(k1_mean))
-        and k2_dev <= tol * (1.0 + abs(k2_mean))
+        summ.k1_max_dev <= tol * (1.0 + abs(summ.k1_mean))
+        and summ.k2_max_dev <= tol * (1.0 + abs(summ.k2_mean))
         and n3b3_max <= tol
         and defect_max <= tol
     )

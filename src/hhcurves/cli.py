@@ -323,9 +323,9 @@ def cmd_frenet(ns):
         if isinstance(res, Exception):
             rows.append((s,) + (0.0,) * 9 + (1,))
             continue
-        fr, tau_d, tau_f = res
-        rows.append((s, *_frenet.frame_scalars(fr), _enorm(tau_d),
-                     _enorm(tau_f), 0))
+        d, tau_d, tau_f = res
+        rows.append((s, d.k1, d.k2, d.eps1, d.eps2, d.eps3, d.n3, d.b3,
+                     _enorm(tau_d), _enorm(tau_f), 0))
     _write_csv(ns.output, _FRENET_HEADER, rows)
     return 0
 

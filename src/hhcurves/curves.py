@@ -165,13 +165,16 @@ class HelixSpec:
 
 
 def _finite_parameter(s):
-    """Raise :class:`InvalidInputError` unless the curve parameter s is
-    finite; each public evaluator checks its s once."""
+    """Raise :class:`InvalidInputError` unless the curve parameter s is a
+    finite real number; each public evaluator checks its s once."""
     try:
         if math.isfinite(s):
             return
     except OverflowError:  # an int past the doubles
         pass
+    except TypeError as exc:  # a str, None, a complex
+        raise InvalidInputError(
+            "curve parameter must be a real number, got %r" % (s,)) from exc
     raise InvalidInputError("curve parameter must be finite, got %r" % (s,))
 
 
@@ -248,6 +251,8 @@ class _Backing:
     _ORDER_MESSAGE = "derivative order must be 1..4, got %r"
 
     def __init__(self, value, derivative=None, fd=None):
+        if fd is not None and not isinstance(fd, FDConfig):
+            raise InvalidInputError("fd must be an FDConfig, got %r" % (fd,))
         if derivative is not None and fd is not None:
             raise InvalidInputError(
                 "closed-form derivatives and an FD step exclude each other")

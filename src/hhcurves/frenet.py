@@ -1,7 +1,8 @@
 """Frenet apparatus of non-degenerate unit-speed curves.
 
-``compute_frenet`` returns the frame (T, N, B), the curvatures (k1 ≥ 0, k2)
-and the causal signs (eps1, eps2, eps3) at a point:
+``compute_frenet`` returns one :class:`FrenetData` at a point: the frame
+(T, N, B), the curvatures (k1 ≥ 0, k2) with k1', k1'' and k2', the causal
+signs (eps1, eps2, eps3), and ∇_T N and ∇_T B:
 
 * ``k1 = sqrt(|inner(A, A)|)`` with ``A = ∇_T T``, ``eps2 = sign(inner(A, A))``;
 * ``N = A / (k1·eps2)``, ``B = cross(T, N)``, ``k2 = inner(∇_T N, B)``;
@@ -22,6 +23,7 @@ k2·eps3·B`` and ``∇_T B = −k2·eps2·N``; tests pin both.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -29,6 +31,7 @@ from hhcurves import _kernels
 from hhcurves.curves import (
     DEFAULT_GEO_TOL_ANALYTIC,
     DEFAULT_GEO_TOL_FD,
+    _finite_parameter,
     geodesic_tol,
     unit_speed_tol,
 )
@@ -43,17 +46,12 @@ from hhcurves.frame import FrameVector, cross, inner
 
 __all__ = [
     "FrenetData",
-    "ExtendedFrenetData",
     "FrenetGridSummary",
     "point_data",
     "evaluate_points",
     "evaluate_grid",
     "direct_tau",
     "compute_frenet",
-    "frame_scalars",
-    "frenet_from_flat",
-    "extended_from_flat",
-    "flat_from_extended",
     "extended_frenet",
     "frenet_over_grid",
     "summarize_frames",
@@ -62,18 +60,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrenetData:
-    """Frenet frame, curvatures, and causal signs at one point."""
+class FrenetData(namedtuple("FrenetData", (
+        "k1 k1_prime k1_second k2 k2_prime eps1 eps2 eps3 t1 t2 t3 n1 n2 n3 "
+        "b1 b2 b3 m1 m2 m3 db1 db2 db3"))):
+    """Frenet apparatus at one point: the 23 values of the kernels' Frenet
+    tuple, in :func:`~hhcurves._kernels.frenet_jets` order.
 
-    t: FrameVector
-    n: FrameVector
-    b: FrameVector
-    k1: float
-    k2: float
-    eps1: float
-    eps2: float
-    eps3: float
+    The curvatures k1, k2 with their first derivatives (and k1''), the sign
+    triple, and the components of T, N, B, ∇_T N (``m``) and ∇_T B
+    (``db``). ``t``, ``n``, ``b``, ``nabla_t_n`` and ``nabla_t_b`` build
+    the :class:`FrameVector` of each when read.
+    """
+
+    __slots__ = ()
+
+    @property
+    def t(self):
+        return FrameVector(self.t1, self.t2, self.t3)
+
+    @property
+    def n(self):
+        return FrameVector(self.n1, self.n2, self.n3)
+
+    @property
+    def b(self):
+        return FrameVector(self.b1, self.b2, self.b3)
+
+    @property
+    def nabla_t_n(self):
+        return FrameVector(self.m1, self.m2, self.m3)
+
+    @property
+    def nabla_t_b(self):
+        return FrameVector(self.db1, self.db2, self.db3)
 
     def validate(self):
         """Check the defining invariants; raises on violation.
@@ -83,16 +102,17 @@ class FrenetData:
         k1 >= 0, and eps1·eps2·eps3 = +1.
         """
         tol = 1e-6
+        t, n, b = self.t, self.n, self.b
         defects = [
-            abs(inner(self.t, self.t) - self.eps1),
-            abs(inner(self.n, self.n) - self.eps2),
-            abs(inner(self.b, self.b) - self.eps3),
-            abs(inner(self.t, self.n)),
-            abs(inner(self.t, self.b)),
-            abs(inner(self.n, self.b)),
+            abs(inner(t, t) - self.eps1),
+            abs(inner(n, n) - self.eps2),
+            abs(inner(b, b) - self.eps3),
+            abs(inner(t, n)),
+            abs(inner(t, b)),
+            abs(inner(n, b)),
         ]
-        bb = cross(self.t, self.n)
-        defects.extend(abs(bb[i] - self.b[i]) for i in range(3))
+        bb = cross(t, n)
+        defects.extend(abs(bb[i] - b[i]) for i in range(3))
         worst = max(defects)
         if worst > tol:
             raise InvalidInputError(
@@ -107,18 +127,6 @@ class FrenetData:
                 % ((self.eps1, self.eps2, self.eps3),)
             )
         return worst
-
-
-@dataclass(frozen=True)
-class ExtendedFrenetData:
-    """Frenet data plus the derivative information the bitension field needs."""
-
-    data: FrenetData
-    k1_prime: float
-    k1_second: float
-    k2_prime: float
-    nabla_t_n: FrameVector
-    nabla_t_b: FrameVector
 
 
 @dataclass(frozen=True)
@@ -139,8 +147,11 @@ class FrenetGridSummary:
 
 def _evaluate(curve, s, jets_kernel):
     """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
-    curves, else ``jets_kernel`` of the projected tangent jets; raises
-    :class:`NumericOverflowError` when any value is not finite."""
+    curves, else ``jets_kernel`` of the projected tangent jets, with ``fr``
+    made a :class:`FrenetData`. Raises :class:`InvalidInputError` unless
+    ``s`` is a finite real, and :class:`NumericOverflowError` when any
+    value is not finite."""
+    _finite_parameter(s)
     geo_tol = geodesic_tol(curve)
     hx = getattr(curve, "helix", None)
     if hx is not None:
@@ -161,7 +172,7 @@ def _evaluate(curve, s, jets_kernel):
     if not all(map(math.isfinite, chain.from_iterable(out))):
         raise NumericOverflowError(
             "the Frenet data at s=%r is not finite" % (s,))
-    return out
+    return (FrenetData._make(out[0]),) + out[1:]
 
 
 def _frame_jets(jets, geo_tol):
@@ -169,11 +180,12 @@ def _frame_jets(jets, geo_tol):
 
 
 def point_data(curve, s):
-    """Raw kernel evaluation at one point.
+    """Kernel evaluation at one point.
 
-    Returns ``(fr, tau_direct, tau_frenet)`` where ``fr`` is the kernel's flat
-    Frenet tuple. Helix-form curves go through the double-double kernel; all
-    others go through jet projection plus the compensated double pipeline.
+    Returns ``(fr, tau_direct, tau_frenet)`` where ``fr`` is the
+    :class:`FrenetData` of the point. Helix-form curves go through the
+    double-double kernel; all others go through jet projection plus the
+    compensated double pipeline.
     Raises the degeneracy errors and :class:`UnitSpeedError` as appropriate.
     """
     return _evaluate(curve, s, _kernels.point_eval)
@@ -201,7 +213,8 @@ def evaluate_points(pairs, *, frames=False):
     pair; a point whose frame degenerates yields its degeneracy error
     instead, and every other error raises. When the pairs hold 14 helix
     points or more, those of every curve take one grid-kernel pass, each
-    with its curve's :func:`~hhcurves.curves.geodesic_tol`; the other
+    with its curve's :func:`~hhcurves.curves.geodesic_tol`, after every
+    ``s`` of them is checked as :func:`point_data` checks it; the other
     points, and those that pass hands back (possibly degenerate, out of
     ``exp`` range, or not finite), go through :func:`point_data` or
     :func:`compute_frenet`.
@@ -213,6 +226,8 @@ def evaluate_points(pairs, *, frames=False):
     if len(on_helix) >= _GRID_MIN_POINTS:
         params = [(hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase)
                   for hx in (pairs[i][0].helix for i in on_helix)]
+        for i in on_helix:
+            _finite_parameter(pairs[i][1])
         results = _kernels.helix_eval_grid(
             *zip(*params),
             [float(pairs[i][1]) for i in on_helix],
@@ -226,8 +241,9 @@ def evaluate_points(pairs, *, frames=False):
                 res = (compute_frenet if frames else point_data)(curve, s)
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 res = exc
-        elif frames:
-            res = frenet_from_flat(res[0])
+        else:
+            fr = FrenetData._make(res[0])
+            res = fr if frames else (fr,) + res[1:]
         yield res
 
 
@@ -247,54 +263,13 @@ def direct_tau(curve, s):
     return _kernels.bitension_direct_jets(jets)
 
 
-def frenet_from_flat(fr):
-    """:class:`FrenetData` of the flat Frenet tuple of a kernel."""
-    return FrenetData(
-        t=FrameVector(*fr[8:11]),
-        n=FrameVector(*fr[11:14]),
-        b=FrameVector(*fr[14:17]),
-        k1=fr[0],
-        k2=fr[3],
-        eps1=fr[5],
-        eps2=fr[6],
-        eps3=fr[7],
-    )
-
-
 def compute_frenet(curve, s):
-    """Frenet data of the curve at parameter value ``s``."""
-    fr = _evaluate(curve, s, _frame_jets)[0]
-    return frenet_from_flat(fr)
+    """:class:`FrenetData` of the curve at parameter value ``s``."""
+    return _evaluate(curve, s, _frame_jets)[0]
 
 
-def extended_from_flat(fr):
-    """:class:`ExtendedFrenetData` of the flat Frenet tuple of a kernel."""
-    return ExtendedFrenetData(
-        data=frenet_from_flat(fr),
-        k1_prime=fr[1],
-        k1_second=fr[2],
-        k2_prime=fr[4],
-        nabla_t_n=FrameVector(*fr[17:20]),
-        nabla_t_b=FrameVector(*fr[20:23]),
-    )
-
-
-def extended_frenet(curve, s):
-    """Frenet data plus curvature derivatives and ∇_T N, ∇_T B."""
-    fr = _evaluate(curve, s, _frame_jets)[0]
-    return extended_from_flat(fr)
-
-
-def flat_from_extended(ext):
-    """Inverse of :func:`extended_from_flat`."""
-    d = ext.data
-    return (d.k1, ext.k1_prime, ext.k1_second, d.k2, ext.k2_prime, d.eps1,
-            d.eps2, d.eps3, *d.t, *d.n, *d.b, *ext.nabla_t_n, *ext.nabla_t_b)
-
-
-def frame_scalars(fr):
-    """``(k1, k2, eps1, eps2, eps3, N3, B3)`` of a kernel's flat Frenet tuple."""
-    return fr[0], fr[3], fr[5], fr[6], fr[7], fr[13], fr[16]
+# The same record, under the name that asks for its derivative data
+extended_frenet = compute_frenet
 
 
 def _mean_max_dev(vals):
@@ -308,8 +283,8 @@ def summarize_frames(grid, data):
     stats = {}
     for name, vals in (("k1", [d.k1 for d in data]),
                        ("k2", [d.k2 for d in data]),
-                       ("n3", [d.n[2] for d in data]),
-                       ("b3", [d.b[2] for d in data])):
+                       ("n3", [d.n3 for d in data]),
+                       ("b3", [d.b3 for d in data])):
         stats[name + "_mean"], stats[name + "_max_dev"] = _mean_max_dev(vals)
     return FrenetGridSummary(grid=tuple(grid), data=tuple(data), **stats)
 

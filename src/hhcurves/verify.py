@@ -421,21 +421,19 @@ def _generic_frame_curve():
     )
 
 
-def _closure_residuals(curve, s, fr):
+def _closure_residuals(curve, s, d):
     """Residuals of the three frame evolution equations at one point.
 
-    ``fr`` is the flat Frenet tuple of ``point_data(curve, s)``.
+    ``d`` is the Frenet record of ``point_data(curve, s)``.
     """
-    ext = _frenet.extended_from_flat(fr)
-    d = ext.data
     jets = curve.tangent_jets(s)
     a10 = _kernels.covd(jets[0], jets[0], jets[1])
     rt = _vdiff(tuple(a10), tuple(d.k1 * d.eps2 * d.n))
     rn = _vdiff(
-        tuple(ext.nabla_t_n),
+        tuple(d.nabla_t_n),
         tuple(-d.k1 * d.eps1 * d.t + d.k2 * d.eps3 * d.b),
     )
-    rb = _vdiff(tuple(ext.nabla_t_b), tuple(-d.k2 * d.eps2 * d.n))
+    rb = _vdiff(tuple(d.nabla_t_b), tuple(-d.k2 * d.eps2 * d.n))
     return max(rt, rn, rb)
 
 
@@ -486,14 +484,12 @@ def _check_bitension_conditions(rng):
     for _, tau_d, tau_f in results:
         route_max = max(route_max, _route_gap(tau_d, tau_f))
     # third-condition factor: direct oracle on a curve with N3·B3 != 0
-    fr, tau_d, _ = _frenet.point_data(_generic_frame_curve(), 0.0)
-    ext = _frenet.extended_from_flat(fr)
-    d = ext.data
+    d, tau_d, _ = _frenet.point_data(_generic_frame_curve(), 0.0)
     cb_direct = d.eps3 * _frame.inner(tau_d, d.b)
-    base = 2.0 * ext.k1_prime * d.k2 + d.k1 * ext.k2_prime
-    cb_factor4 = (base - 4.0 * d.k1 * d.n[2] * d.b[2]) * d.eps2 * d.eps3
-    cb_factor1 = (base - 1.0 * d.k1 * d.n[2] * d.b[2]) * d.eps2 * d.eps3
-    n3b3 = d.n[2] * d.b[2]
+    base = 2.0 * d.k1_prime * d.k2 + d.k1 * d.k2_prime
+    cb_factor4 = (base - 4.0 * d.k1 * d.n3 * d.b3) * d.eps2 * d.eps3
+    cb_factor1 = (base - 1.0 * d.k1 * d.n3 * d.b3) * d.eps2 * d.eps3
+    n3b3 = d.n3 * d.b3
     factor4_dev = abs(cb_direct - cb_factor4)
     factor1_dev = abs(cb_direct - cb_factor1)
     # torsion-zero reduction of the closure identity: pure sign algebra
@@ -555,8 +551,7 @@ def _family_sweep(rng, shapes, maker, kind, eps_want):
     for shape, branch, curve, _ in cases:
         points = list(islice(results, len(grid)))
         direct, fren = _biharmonic.route_norms(points)
-        summ = _frenet.summarize_frames(
-            grid, [_frenet.frenet_from_flat(p[0]) for p in points])
+        summ = _frenet.summarize_frames(grid, [p[0] for p in points])
         res = max(max(direct), max(fren))
         worst = max(worst, res)
         amp, k1_want, k2_want = _helix_lemma(kind, shape, curve.helix.slope)
@@ -645,7 +640,7 @@ def _check_b3zero_signs(rng):
     for curve in _seeded_b3zero_curves(rng, 12):
         for s in _B3ZERO_POINTS:
             d = _frenet.compute_frenet(curve, s)
-            worst = max(worst, abs(d.b[2]))
+            worst = max(worst, abs(d.b3))
             if d.eps1 != -d.eps2 or d.eps3 != -1.0:
                 signs_ok = False
             n += 1
@@ -726,15 +721,15 @@ def _check_helix_lemma(rng):
     for _, k1_want, k2_want, amp in lemma:
         for d in islice(frames, 2):
             worst = max(
-                worst, abs(d.n[2]), abs(d.k1 - k1_want),
-                abs(d.k2 - k2_want), abs(abs(d.b[2]) - abs(amp)),
+                worst, abs(d.n3), abs(d.k1 - k1_want),
+                abs(d.k2 - k2_want), abs(abs(d.b3) - abs(amp)),
             )
             if d.eps1 != -d.eps3 or d.eps2 != -1.0:
                 signs_ok = False
             n0 += 1
     for _, k2_want in flat:
         for d in islice(frames, 2):
-            worst = max(worst, abs(d.n[2]), abs(d.k2 - k2_want))
+            worst = max(worst, abs(d.n3), abs(d.k2 - k2_want))
             # these tangents have |T3| < 1: outside the two displayed forms,
             # and the sign conclusion does not extend to them
             if d.eps1 != -1.0 or d.eps2 != 1.0 or d.eps3 != -1.0:
@@ -745,9 +740,9 @@ def _check_helix_lemma(rng):
         defect_max = max(
             defect_max,
             abs(_biharmonic.identity_defect(d.k1, d.k2, d.eps1, d.eps3,
-                                            d.b[2])),
+                                            d.b3)),
         )
-        if abs(d.b[2]) <= tol:
+        if abs(d.b3) <= tol:
             signs_ok = False
     worst = max(worst, defect_max)
     status = _status(worst <= tol and signs_ok and flat_outside)
@@ -835,9 +830,9 @@ def _check_timelike_horizontal_nonexistence(rng):
             formula_dev = max(formula_dev, abs(res - want))
             min_res = min(min_res, res)
         # the frame at s_pts[1] = 0.0
-        d = _frenet.frenet_from_flat(points[1][0])
+        d = points[1][0]
         defect = _biharmonic.identity_defect(d.k1, d.k2, d.eps1, d.eps3,
-                                             d.b[2])
+                                             d.b3)
         defect_dev = max(defect_dev, abs(defect - (m * m + 4.0)))
     ok = formula_dev <= tol and defect_dev <= tol and min_res >= 0.401
     status = _status(ok)

@@ -14,7 +14,7 @@ from hhcurves import (
     bitension_frenet,
     bitension_frenet_at,
     check_biharmonic_conditions,
-    extended_frenet,
+    compute_frenet,
     identity_defect,
     inner,
     make_b3zero_linear,
@@ -68,9 +68,9 @@ class TestRouteAgreement:
     def test_recombination_from_extended_data(self):
         curve = make_timelike_horizontal_helix(0.9)
         for s in (-0.5, 0.2):
-            via_ext = bitension_frenet(extended_frenet(curve, s))
+            via_record = bitension_frenet(compute_frenet(curve, s))
             via_kernel = bitension_frenet_at(curve, s)
-            assert _dev(via_ext, via_kernel) <= 1e-9
+            assert _dev(via_record, via_kernel) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -135,33 +135,30 @@ class TestTorsionRateCoefficient:
         curve = self._curve()
         t = curve.tangent(0.0)
         assert inner(t, t) == pytest.approx(1.0, abs=1e-15)
-        ext = extended_frenet(curve, 0.0)
-        assert ext.data.n[2] * ext.data.b[2] == pytest.approx(
-            0.18591846, abs=1e-7
-        )
-        assert ext.data.k1 == pytest.approx(1.157826451, rel=1e-9)
-        assert ext.data.k2 == pytest.approx(-0.7230782979, rel=1e-9)
+        d = compute_frenet(curve, 0.0)
+        assert d.n3 * d.b3 == pytest.approx(0.18591846, abs=1e-7)
+        assert d.k1 == pytest.approx(1.157826451, rel=1e-9)
+        assert d.k2 == pytest.approx(-0.7230782979, rel=1e-9)
 
     def test_coefficient_four_matches_oracle(self):
         curve = self._curve()
-        ext = extended_frenet(curve, 0.0)
-        d = ext.data
+        d = compute_frenet(curve, 0.0)
         tau = bitension_direct(curve, 0.0)
         cb_direct = d.eps3 * inner(tau, d.b)
         assert cb_direct == pytest.approx(-0.26212361, abs=1e-7)
         cb_four = (
-            2.0 * ext.k1_prime * d.k2
-            + d.k1 * ext.k2_prime
-            - 4.0 * d.k1 * d.n[2] * d.b[2]
+            2.0 * d.k1_prime * d.k2
+            + d.k1 * d.k2_prime
+            - 4.0 * d.k1 * d.n3 * d.b3
         ) * d.eps2 * d.eps3
         cb_one = (
-            2.0 * ext.k1_prime * d.k2
-            + d.k1 * ext.k2_prime
-            - 1.0 * d.k1 * d.n[2] * d.b[2]
+            2.0 * d.k1_prime * d.k2
+            + d.k1 * d.k2_prime
+            - 1.0 * d.k1 * d.n3 * d.b3
         ) * d.eps2 * d.eps3
         assert abs(cb_direct - cb_four) <= 1e-12
         assert abs(cb_direct - cb_one) == pytest.approx(
-            3.0 * d.k1 * abs(d.n[2] * d.b[2]), rel=1e-9
+            3.0 * d.k1 * abs(d.n3 * d.b3), rel=1e-9
         )
         assert abs(cb_direct - cb_one) > 0.6
 
@@ -173,16 +170,14 @@ class TestClosureIdentity:
             make_timelike_biharmonic(-0.6, branch=-1),
             make_spacelike_horizontal(),
         ):
-            ext = extended_frenet(curve, 0.4)
-            d = ext.data
-            defect = identity_defect(d.k1, d.k2, d.eps1, d.eps3, d.b[2])
+            d = compute_frenet(curve, 0.4)
+            defect = identity_defect(d.k1, d.k2, d.eps1, d.eps3, d.b3)
             assert abs(defect) <= 1e-12
 
     def test_flat_helix_defect_grows_quadratically(self):
         for m in (0.4, 1.0, 2.2):
-            ext = extended_frenet(make_timelike_horizontal_helix(m), 0.3)
-            d = ext.data
-            defect = identity_defect(d.k1, d.k2, d.eps1, d.eps3, d.b[2])
+            d = compute_frenet(make_timelike_horizontal_helix(m), 0.3)
+            defect = identity_defect(d.k1, d.k2, d.eps1, d.eps3, d.b3)
             assert defect == pytest.approx(m * m + 4.0, rel=1e-10)
 
     def test_flat_helix_residual_closed_form(self):

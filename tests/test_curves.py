@@ -682,6 +682,30 @@ class TestBackingIsFixedByItsConstructor:
             self.CONSTRUCTORS[name](_smooth, derivative=_smooth_derivative,
                                     fd=FDConfig(step=1e-3))
 
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("fd", [1e-3, "x", 0.0, 0, False],
+                             ids=["float", "str", "zero", "int-zero", "False"])
+    def test_fd_takes_only_an_fdconfig(self, name, fd):
+        # a float or a str raised a bare AttributeError at the first step;
+        # 0.0, 0 and False fell back to the default step without a word
+        with pytest.raises(InvalidInputError,
+                           match="^fd must be an FDConfig, got "):
+            self.CONSTRUCTORS[name](_smooth, fd=fd)
+
+    def test_fd_derivative_takes_only_an_fdconfig(self):
+        for cfg in (1e-3, 0.0, "x"):
+            with pytest.raises(InvalidInputError,
+                               match="^fd must be an FDConfig, got "):
+                fd_derivative(_smooth, 0.3, 1, cfg)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_fd_none_is_the_default_step(self, name):
+        build = self.CONSTRUCTORS[name]
+        want = build(_smooth, fd=FDConfig()).derivative(0.3, 2)
+        assert build(_smooth, fd=None).derivative(0.3, 2) == want
+        assert build(_smooth).derivative(0.3, 2) == want
+        assert fd_derivative(_smooth, 0.3, 2, None) == want
+
     def test_family_curves_carry_a_helix_that_cannot_be_assigned(self):
         for curve in (make_spacelike_biharmonic(0.5),
                       make_helix("timelike", 0.3, 1.5)):

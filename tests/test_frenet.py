@@ -1,7 +1,9 @@
 """Frenet apparatus: frame extraction, curvatures, signs, degeneracies."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hhcurves import (
@@ -25,10 +27,34 @@ from hhcurves import (
     make_timelike_biharmonic,
     make_timelike_horizontal_helix,
 )
-from hhcurves import biharmonic
+from hhcurves import _kernels, biharmonic
 from hhcurves import frenet as frenet_module
+from hhcurves.curves import geodesic_tol, unit_speed_tol
 
 GRID = tuple(-1.0 + 0.2 * i for i in range(11))
+
+_LAYOUT = (
+    "k1", "k1_prime", "k1_second", "k2", "k2_prime", "eps1", "eps2", "eps3",
+    "t1", "t2", "t3", "n1", "n2", "n3", "b1", "b2", "b3",
+    "m1", "m2", "m3", "db1", "db2", "db3",
+)
+
+
+def _bits(values):
+    """The values as hex strings, so equality is bit for bit."""
+    return [float(v).hex() for v in values]
+
+
+def _kernel_tuple(curve, s):
+    """The kernels' flat Frenet tuple at s, called without frenet."""
+    geo_tol = geodesic_tol(curve)
+    hx = curve.helix
+    if hx is not None:
+        return _kernels.helix_eval(hx.form, hx.amp, hx.tilt, hx.slope_hi,
+                                   hx.slope_lo, hx.phase, s, geo_tol)[0]
+    jets = _kernels.project_unit_jets(curve.tangent_jets(s),
+                                      unit_speed_tol(curve))
+    return _kernels.frenet_jets(jets, geo_tol)
 
 
 class TestHorizontalFamily:
@@ -139,23 +165,26 @@ class TestHelixClosedForms:
 
 
 class TestExtendedData:
+    """The derivative data the bitension needs, read from the one record."""
+
     def test_constant_curvature_helix_has_flat_derivatives(self):
-        ext = extended_frenet(make_spacelike_biharmonic(0.5), 0.4)
-        assert abs(ext.k1_prime) <= 1e-10
-        assert abs(ext.k1_second) <= 1e-10
-        assert abs(ext.k2_prime) <= 1e-10
+        data = compute_frenet(make_spacelike_biharmonic(0.5), 0.4)
+        assert abs(data.k1_prime) <= 1e-10
+        assert abs(data.k1_second) <= 1e-10
+        assert abs(data.k2_prime) <= 1e-10
 
     def test_frame_derivatives_are_metric_compatible(self):
-        ext = extended_frenet(make_timelike_biharmonic(0.7), -0.2)
-        data = ext.data
+        data = compute_frenet(make_timelike_biharmonic(0.7), -0.2)
         # d/ds inner(N, N) = 2 inner(∇_T N, N) = 0, same for B, and the
         # cross term pairs antisymmetrically.
-        assert abs(inner(ext.nabla_t_n, data.n)) <= 1e-9
-        assert abs(inner(ext.nabla_t_b, data.b)) <= 1e-9
+        assert abs(inner(data.nabla_t_n, data.n)) <= 1e-9
+        assert abs(inner(data.nabla_t_b, data.b)) <= 1e-9
         assert abs(
-            inner(ext.nabla_t_n, data.b) + inner(data.n, ext.nabla_t_b)
+            inner(data.nabla_t_n, data.b) + inner(data.n, data.nabla_t_b)
         ) <= 1e-9
 
+    def test_extended_frenet_is_compute_frenet(self):
+        assert frenet_module.extended_frenet is compute_frenet
 
     @pytest.mark.parametrize("curve", [
         make_b3zero_linear("b3zero-spacelike", 0.4, 0.6, (0.0, 2.0)),
@@ -164,14 +193,14 @@ class TestExtendedData:
     def test_takes_the_frame_only_route(self, curve, monkeypatch):
         """The Frenet tuple comes from frenet_jets alone, the same call that
         point_eval makes before its bitension routes, so it keeps its bits."""
-        want = [frenet_module.extended_from_flat(
-            frenet_module.point_data(curve, s)[0]) for s in (0.3, 0.9)]
+        want = [_bits(frenet_module.point_data(curve, s)[0])
+                for s in (0.3, 0.9)]
 
         def refuse(*args):
             raise AssertionError("point_eval called")
 
         monkeypatch.setattr(frenet_module._kernels, "point_eval", refuse)
-        assert [extended_frenet(curve, s) for s in (0.3, 0.9)] == want
+        assert [_bits(compute_frenet(curve, s)) for s in (0.3, 0.9)] == want
 
 
 class TestDegeneracies:
@@ -227,28 +256,15 @@ class TestValidate:
 
     def test_tampered_binormal_rejected(self):
         data = compute_frenet(make_spacelike_horizontal(), 0.5)
-        bad = FrenetData(
-            t=data.t,
-            n=data.n,
-            b=FrameVector(-data.b[0], -data.b[1], -data.b[2]),
-            k1=data.k1,
-            k2=data.k2,
-            eps1=data.eps1,
-            eps2=data.eps2,
-            eps3=data.eps3,
-        )
-        with pytest.raises(InvalidInputError):
+        bad = data._replace(b1=-data.b1, b2=-data.b2, b3=-data.b3)
+        assert bad.b == FrameVector(-data.b1, -data.b2, -data.b3)
+        with pytest.raises(InvalidInputError, match="frame invariants"):
             bad.validate()
 
     def test_negative_k1_rejected(self):
         data = compute_frenet(make_spacelike_horizontal(), 0.5)
-        bad = FrenetData(
-            t=data.t, n=data.n, b=data.b,
-            k1=-data.k1, k2=data.k2,
-            eps1=data.eps1, eps2=data.eps2, eps3=data.eps3,
-        )
-        with pytest.raises(InvalidInputError):
-            bad.validate()
+        with pytest.raises(InvalidInputError, match="k1 must be"):
+            data._replace(k1=-data.k1).validate()
 
 
 class TestGridApi:
@@ -257,19 +273,84 @@ class TestGridApi:
             frenet_over_grid(make_spacelike_horizontal(), ())
 
     def test_point_data_flat_layout(self):
-        # The raw kernel tuple indexes k1, k2, signs, and the three frame
-        # vectors at fixed positions used by the CLI.
-        curve = make_spacelike_horizontal()
-        fr, tau_direct, tau_frenet = frenet_module.point_data(curve, 0.0)
-        data = compute_frenet(curve, 0.0)
-        assert fr[0] == data.k1
-        assert fr[3] == data.k2
-        assert (fr[5], fr[6], fr[7]) == (data.eps1, data.eps2, data.eps3)
-        assert tuple(fr[8:11]) == tuple(data.t)
-        assert tuple(fr[11:14]) == tuple(data.n)
-        assert tuple(fr[14:17]) == tuple(data.b)
-        assert len(tau_direct) == 3
-        assert len(tau_frenet) == 3
+        # The record is the kernel's flat 23-tuple, each slot named in
+        # frenet_jets order, and compute_frenet returns it bit for bit: at a
+        # helix point, a closed-form jets point and an FD point.
+        assert FrenetData._fields == _LAYOUT
+        for curve, s in (
+            (make_spacelike_horizontal(), 0.0),
+            (make_b3zero_linear("b3zero-spacelike", 0.4, 0.6, (0.0, 2.0)),
+             0.7),
+            (FrameCurve(make_timelike_biharmonic(0.7).helix.tangent), 0.3),
+        ):
+            fr, tau_direct, tau_frenet = frenet_module.point_data(curve, s)
+            assert type(fr) is FrenetData
+            kernel = _kernel_tuple(curve, s)
+            assert len(kernel) == 23
+            for i, name in enumerate(_LAYOUT):
+                assert _bits([getattr(fr, name)]) == _bits([kernel[i]]), name
+            assert fr.t == FrameVector(*kernel[8:11])
+            assert fr.n == FrameVector(*kernel[11:14])
+            assert fr.b == FrameVector(*kernel[14:17])
+            assert fr.nabla_t_n == FrameVector(*kernel[17:20])
+            assert fr.nabla_t_b == FrameVector(*kernel[20:23])
+            assert _bits(compute_frenet(curve, s)) == _bits(fr)
+            assert len(tau_direct) == 3
+            assert len(tau_frenet) == 3
+
+    def test_grid_pass_and_frames_return_the_record(self):
+        curve = make_spacelike_biharmonic(0.5)
+        grid = [0.05 * i for i in range(16)]
+        points = list(frenet_module.evaluate_grid(curve, grid))
+        frames = list(frenet_module.evaluate_grid(curve, grid, frames=True))
+        assert all(type(p[0]) is FrenetData for p in points)
+        assert all(type(d) is FrenetData for d in frames)
+        assert [_bits(p[0]) for p in points] == [_bits(d) for d in frames]
+        summary = frenet_over_grid(curve, grid)
+        assert [_bits(d) for d in summary.data] == [_bits(d) for d in frames]
+
+
+# One curve of each Frenet route: the helix kernel, closed-form jets, FD jets
+_ROUTES = {
+    "helix": lambda: make_spacelike_biharmonic(0.5),
+    "closed-form-jets": lambda: make_b3zero_linear(
+        "b3zero-spacelike", 0.4, 0.6, (0.0, 2.0)),
+    "fd-jets": lambda: FrameCurve(make_timelike_biharmonic(0.7).helix.tangent),
+}
+
+_BAD_PARAMETERS = pytest.mark.parametrize(
+    "s", [math.nan, math.inf, "0.3", None, 1j],
+    ids=["nan", "inf", "str", "None", "complex"])
+
+
+class TestParameterCheck:
+    """Every Frenet route checks s as the curve evaluators do."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    @_BAD_PARAMETERS
+    def test_every_route_rejects_it(self, route, s):
+        # a helix point took "0.3" and met NaN as a dd_exp domain error; a
+        # jets point raised a bare TypeError for "0.3" and None
+        curve = _ROUTES[route]()
+        for evaluate in (frenet_module.point_data, compute_frenet):
+            with pytest.raises(InvalidInputError,
+                               match="^curve parameter must be "):
+                evaluate(curve, s)
+
+    @_BAD_PARAMETERS
+    def test_grid_pass_rejects_it(self, s):
+        curve = make_spacelike_biharmonic(0.5)
+        pairs = [(curve, 0.05 * i) for i in range(15)] + [(curve, s)]
+        for frames in (False, True):
+            with pytest.raises(InvalidInputError,
+                               match="^curve parameter must be "):
+                list(frenet_module.evaluate_points(pairs, frames=frames))
+
+    def test_real_numbers_pass(self):
+        curve = make_spacelike_biharmonic(0.5)
+        want = _bits(compute_frenet(curve, 0.5))
+        for s in (0.5, np.float64(0.5), Fraction(1, 2)):
+            assert _bits(compute_frenet(curve, s)) == want
 
 
 def _fast_helix():
