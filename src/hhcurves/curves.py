@@ -155,8 +155,8 @@ class HelixSpec:
             raise NumericOverflowError(str(exc)) from exc
         t3 = self.tilt if order == 0 else 0.0
         if (order % 2 == 1) == (self.form == 0):
-            return (f * sh, f * c, t3)
-        return (f * c, f * sh, t3)
+            c, sh = sh, c
+        return _finite_value((f * c, f * sh, t3), s)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,17 @@ def _finite_parameter(s):
         raise InvalidInputError(
             "curve parameter must be a real number, got %r" % (s,)) from exc
     raise InvalidInputError("curve parameter must be finite, got %r" % (s,))
+
+
+def _finite_value(value, s):
+    """Return an evaluator's ``value`` at ``s`` after checking that each
+    component is finite. A product of closed forms overflows to inf, or
+    meets inf − inf, before cosh itself overflows: that raises
+    :class:`NumericOverflowError`, which names the value and ``s``."""
+    if all(map(math.isfinite, value)):
+        return value
+    raise NumericOverflowError(
+        "the curve value %r at s=%r is not finite" % (value, s))
 
 
 # Central stencils of accuracy order 2: {order: (offsets, weights)}.
@@ -271,7 +282,12 @@ class _Backing:
         return self._helix
 
     def derivative(self, s, order):
-        """The ``order``-th parameter derivative of the value at ``s``."""
+        """The ``order``-th parameter derivative of the value at ``s``;
+        raises :class:`NumericOverflowError` where it is not finite."""
+        return _finite_value(self._raw_derivative(s, order), s)
+
+    def _raw_derivative(self, s, order):
+        """:meth:`derivative` as computed, finite or not."""
         if type(order) is not int or order not in self._ORDERS:
             raise InvalidInputError(self._ORDER_MESSAGE % (order,))
         _finite_parameter(s)
@@ -309,9 +325,10 @@ def fd_derivative(f, s, order, cfg):
 
     ``f(s)`` must return a fixed-length sequence of floats; ``order`` is 1–4.
     The order-2 stencil result is extrapolated from steps h and h/2, giving
-    O(h⁴) accuracy.
+    O(h⁴) accuracy. Unlike a curve's ``derivative``, it returns what the
+    stencils give, finite or not.
     """
-    return _Backing(f, fd=cfg).derivative(s, order)
+    return _Backing(f, fd=cfg)._raw_derivative(s, order)
 
 
 def _built(cls, value, derivative=None, helix=None, samples=None):
@@ -449,14 +466,15 @@ class CoordinateCurve(_Backing):
 
     def point(self, s):
         _finite_parameter(s)
-        return tuple(map(float, self._value(s)))
+        return _finite_value(tuple(map(float, self._value(s))), s)
 
     def tangent(self, s):
         """Frame components of the tangent: ``(x', y', z'/2 + x'·y − x·y')``."""
         _finite_parameter(s)
         x, y, _ = map(float, self._value(s))
         d1 = self._derivatives(s, (1,), 0)[0]
-        return (d1[0], d1[1], d1[2] / 2.0 + d1[0] * y - x * d1[1])
+        return _finite_value(
+            (d1[0], d1[1], d1[2] / 2.0 + d1[0] * y - x * d1[1]), s)
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives (frame comps)."""
@@ -533,7 +551,7 @@ class FrameCurve(_Backing):
 
     def tangent(self, s):
         _finite_parameter(s)
-        return tuple(map(float, self._value(s)))
+        return _finite_value(tuple(map(float, self._value(s))), s)
 
     def tangent_jets(self, s):
         """Tangent and its first three parameter derivatives; raises when one

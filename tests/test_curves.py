@@ -28,6 +28,7 @@ from hhcurves import (
     make_helix,
     make_spacelike_biharmonic,
     make_spacelike_horizontal,
+    make_timelike_horizontal_helix,
     read_curve_csv,
     vertical_momentum,
 )
@@ -581,6 +582,20 @@ class TestClosedFormOverflow:
     def test_raises_a_library_error_with_the_same_text(self, call):
         # at the parent each raised a bare OverflowError
         with pytest.raises(NumericOverflowError, match="^math range error$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: make_spacelike_biharmonic(0.5).tangent(249.7),
+        lambda: make_spacelike_biharmonic(0.5).derivative(249.7, 3),
+        lambda: make_helix("spacelike", 0.4, 2.2).derivative(322.5, 3),
+        lambda: make_helix("spacelike", 0.4, 2.2).helix.derivative(322.5, 3),
+        lambda: make_timelike_horizontal_helix(0.5).tangent(1e3),
+    ], ids=["tangent", "derivative", "helix-derivative", "helix-spec",
+            "flat-tangent"])
+    def test_a_product_past_the_doubles_raises(self, call):
+        # cosh still has a value here, but a product of it overflows or
+        # meets inf - inf; at the parent each returned inf or nan
+        with pytest.raises(NumericOverflowError, match="is not finite"):
             call()
 
     def test_a_callers_own_exception_propagates_unchanged(self):

@@ -273,3 +273,19 @@ class TestFailClosed:
         assert cli.main(["verify", "--claim", "horizontal-slope-printed"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"][0]["status"] == STATUS_ERROR
+
+    def test_a_nan_bitension_is_an_error_row(self, monkeypatch):
+        # the route gap takes a running max, which a NaN would not raise:
+        # the Frenet routes must refuse the point before it gets there
+        from hhcurves import _kernels
+
+        point_eval = _kernels.point_eval
+
+        def nan_tau(jets, geo_tol):
+            fr, _, tau_frenet = point_eval(jets, geo_tol)
+            return fr, (float("nan"), 0.0, 0.0), tau_frenet
+
+        monkeypatch.setattr(_kernels, "point_eval", nan_tau)
+        check = verify_claim("bitension-conditions")
+        assert check.status == STATUS_ERROR
+        assert "NumericOverflowError" in check.details
