@@ -90,6 +90,10 @@ _EXPORTS = {
         "causal_character_of_curve",
         "check_unit_speed",
         "vertical_momentum",
+        "DEFAULT_GEO_TOL_ANALYTIC",
+        "DEFAULT_GEO_TOL_FD",
+        "DEFAULT_VERDICT_TOL_ANALYTIC",
+        "DEFAULT_VERDICT_TOL_SAMPLED",
     ),
     "frenet": (
         "FrenetData",
@@ -97,8 +101,6 @@ _EXPORTS = {
         "compute_frenet",
         "extended_frenet",
         "frenet_over_grid",
-        "DEFAULT_GEO_TOL_ANALYTIC",
-        "DEFAULT_GEO_TOL_FD",
     ),
     "biharmonic": (
         "BiharmonicReport",
@@ -108,8 +110,6 @@ _EXPORTS = {
         "residual_norms",
         "check_biharmonic_conditions",
         "identity_defect",
-        "DEFAULT_VERDICT_TOL_ANALYTIC",
-        "DEFAULT_VERDICT_TOL_SAMPLED",
     ),
     "families": (
         "FamilyKind",

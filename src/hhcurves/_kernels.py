@@ -141,9 +141,25 @@ def _sign(v):
     return 1.0 if v > 0.0 else -1.0
 
 
+# |hi| of the dd_exp arguments the series evaluates: below the range exp is
+# 0, and above it overflows
+_EXP_LIMIT = 709.0
+
+
 def _value(x):
     """The double nearest a double-double: float(x), also over arrays."""
     return x.hi + x.lo
+
+
+def _check_degenerate(norm, q0, geo_tol, where):
+    """Raise the degeneracy error of a point ``where`` names, whose ∇_T T
+    has Euclidean norm ``norm`` and ``inner(A, A) = q0``, if it has one."""
+    if norm <= geo_tol:
+        raise GeodesicDegenerateError(
+            "curvature vanishes %s (‖∇_T T‖ <= %r)" % (where, geo_tol))
+    if abs(q0) <= geo_tol * geo_tol:
+        raise NullNormalDegenerateError(
+            "acceleration is null %s (inner(A, A) = %r)" % (where, q0))
 
 
 class _FloatOps:
@@ -173,14 +189,12 @@ class _FloatOps:
     @staticmethod
     def exp_special(x):
         """dd_exp at arguments the series does not evaluate, else None."""
-        if x.hi <= -709.0:
+        if x.hi <= -_EXP_LIMIT:
             return DD(0.0)
-        if x.hi >= 709.0:
+        if x.hi >= _EXP_LIMIT:
             raise NumericOverflowError("dd_exp argument too large")
         if x.hi != x.hi:  # u = a·s + phase overflowed to inf - inf
             raise NumericOverflowError("dd_exp argument is not a number")
-        if x.hi == 0.0 and x.lo == 0.0:
-            return DD(1.0)
         return None
 
     @staticmethod
@@ -192,16 +206,8 @@ class _FloatOps:
     @staticmethod
     def degenerate(a10, q0, geo_tol):
         """Raise the degeneracy error of a helix point, if it has one."""
-        if math.hypot(_value(a10[0]), _value(a10[1]), _value(a10[2])) <= geo_tol:
-            raise GeodesicDegenerateError(
-                "curvature vanishes along this helix (‖∇_T T‖ <= %r)"
-                % (geo_tol,)
-            )
-        if abs(_value(q0)) <= geo_tol * geo_tol:
-            raise NullNormalDegenerateError(
-                "acceleration is null along this helix (inner(A, A) = %r)"
-                % (_value(q0),)
-            )
+        _check_degenerate(math.hypot(*map(_value, a10)), _value(q0), geo_tol,
+                          "along this helix")
         return False
 
 
@@ -240,7 +246,6 @@ class _ArrayOps:
         return live & ~(self.np.abs(t) <= 1e-40)
 
     def exp_special(self, x):
-        # Zero arguments take the series, which yields exactly DD(1.0).
         return None
 
     def check_exp_nonzero(self, e):
@@ -526,15 +531,9 @@ def _frenet_chain(t0, s0, s1, a1, geo_tol):
     and ``s1`` (of its first jet), and ``a1 = _chain_a1(...)``."""
     fsum = math.fsum
     a10, a11, a12 = a1
-    if math.hypot(a10[0], a10[1], a10[2]) <= geo_tol:
-        raise GeodesicDegenerateError(
-            "curvature vanishes at this point (‖∇_T T‖ <= %r)" % (geo_tol,)
-        )
     q0 = fsum(_dot_terms(a10, a10))
-    if abs(q0) <= geo_tol * geo_tol:
-        raise NullNormalDegenerateError(
-            "acceleration is null at this point (inner(A, A) = %r)" % (q0,)
-        )
+    _check_degenerate(math.hypot(a10[0], a10[1], a10[2]), q0, geo_tol,
+                      "at this point")
     eps2 = _sign(q0)
     q1 = 2.0 * fsum(_dot_terms(a11, a10))
     q2 = 2.0 * fsum(_dot_terms(a12, a10)) + 2.0 * fsum(_dot_terms(a11, a11))
@@ -944,7 +943,7 @@ def helix_eval_grid(form, amp, tilt, slope_hi, slope_lo, phase, s_array,
         cols = np.array(np.broadcast_arrays(s, *(fr + tau_d + tau_f))[1:])
     redo = (
         degenerate
-        | ~((u.hi > -709.0) & (u.hi < 709.0))
+        | ~((u.hi > -_EXP_LIMIT) & (u.hi < _EXP_LIMIT))
         | ~np.isfinite(cols).all(axis=0)
     )
     return [

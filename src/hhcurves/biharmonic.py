@@ -29,11 +29,7 @@ from dataclasses import dataclass, field
 
 from hhcurves import frenet as _frenet
 from hhcurves._kernels import _tau_from_frenet
-from hhcurves.curves import (
-    DEFAULT_VERDICT_TOL_ANALYTIC,
-    DEFAULT_VERDICT_TOL_SAMPLED,
-    verdict_tol,
-)
+from hhcurves.curves import verdict_tol
 from hhcurves.errors import InvalidInputError
 from hhcurves.frame import FrameVector
 
@@ -46,8 +42,6 @@ __all__ = [
     "residual_norms",
     "check_biharmonic_conditions",
     "identity_defect",
-    "DEFAULT_VERDICT_TOL_ANALYTIC",
-    "DEFAULT_VERDICT_TOL_SAMPLED",
 ]
 
 

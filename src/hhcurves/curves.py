@@ -618,6 +618,19 @@ def read_curve_csv(source):
 # ---------------------------------------------------------------------------
 
 
+def _s_range(s_range):
+    """``(s0, s1)`` of a pair of reals with finite ``s1 > s0``; raises
+    :class:`InvalidInputError` for anything else."""
+    try:
+        s0, s1 = float(s_range[0]), float(s_range[1])
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise InvalidInputError("s_range must be a pair of reals") from exc
+    if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
+        raise InvalidInputError(
+            "invalid s_range %r: need finite s1 > s0" % (s_range,))
+    return s0, s1
+
+
 def integrate_frame_curve(curve, start, s_range, step):
     """Integrate a frame curve's coordinates with fixed-step RK4.
 
@@ -626,14 +639,7 @@ def integrate_frame_curve(curve, start, s_range, step):
     the range to within 1e-9 relative. Returns a sampled
     :class:`CoordinateCurve` on the integration grid.
     """
-    try:
-        s0, s1 = (float(s_range[0]), float(s_range[1]))
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InvalidInputError("s_range must be a pair of reals") from exc
-    if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
-        raise InvalidInputError(
-            "invalid integration range %r: need finite s1 > s0" % (s_range,)
-        )
+    s0, s1 = _s_range(s_range)
     step = float(step)
     if not (math.isfinite(step) and step > 0):
         raise InvalidInputError("invalid step %r: need a finite positive real" % (step,))

@@ -38,6 +38,7 @@ from hhcurves.curves import (
     FrameCurve,
     HelixSpec,
     _built,
+    _s_range,
     fd_derivative,
 )
 from hhcurves.errors import (
@@ -525,12 +526,7 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
     (|β| ≲ 8) for 1e-9-grade results.
     """
     spacelike = _b3zero_spacelike(kind)
-    try:
-        s0, s1 = float(s_range[0]), float(s_range[1])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InvalidInputError("s_range must be a pair of reals") from exc
-    if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
-        raise InvalidInputError("invalid s_range %r" % (s_range,))
+    s0, s1 = _s_range(s_range)
 
     analytic = not isinstance(alpha(s0), (int, float))
     if analytic:
@@ -619,10 +615,7 @@ def make_b3zero_linear(kind, p, q, s_range):
         raise DegenerateGeodesicError(
             "a constant profile gives a curve of vanishing curvature"
         )
-    try:
-        s0 = float(s_range[0])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InvalidInputError("s_range must be a pair of reals") from exc
+    s0 = _s_range(s_range)[0]
     antiderivative = math.cosh if _b3zero_spacelike(kind) else math.sinh
 
     def beta(s):

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from hhcurves import _kernels
-from hhcurves.curves import (
-    DEFAULT_GEO_TOL_ANALYTIC,
-    DEFAULT_GEO_TOL_FD,
-    _finite_parameter,
-    geodesic_tol,
-    unit_speed_tol,
-)
+from hhcurves.curves import _finite_parameter, geodesic_tol, unit_speed_tol
 from hhcurves.errors import (
     GeodesicDegenerateError,
     HHCurvesError,
@@ -55,8 +49,6 @@ __all__ = [
     "extended_frenet",
     "frenet_over_grid",
     "summarize_frames",
-    "DEFAULT_GEO_TOL_ANALYTIC",
-    "DEFAULT_GEO_TOL_FD",
 ]
 
 
@@ -145,23 +137,31 @@ class FrenetGridSummary:
     b3_max_dev: float
 
 
+def _helix_args(curve, s):
+    """:func:`~hhcurves._kernels.helix_eval`'s arguments at ``s`` on a
+    helix-form curve: its spec's six fields, ``float(s)`` and its
+    ``geodesic_tol``. Raises :class:`InvalidInputError` unless ``s`` is a
+    finite real."""
+    _finite_parameter(s)
+    hx = curve.helix
+    return (hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase,
+            float(s), geodesic_tol(curve))
+
+
 def _evaluate(curve, s, jets_kernel):
     """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
     curves, else ``jets_kernel`` of the projected tangent jets, with ``fr``
     made a :class:`FrenetData`. Raises :class:`InvalidInputError` unless
     ``s`` is a finite real, and :class:`NumericOverflowError` when any
     value is not finite."""
-    _finite_parameter(s)
-    geo_tol = geodesic_tol(curve)
-    hx = getattr(curve, "helix", None)
-    if hx is not None:
-        out = _kernels.helix_eval(hx.form, hx.amp, hx.tilt, hx.slope_hi,
-                                  hx.slope_lo, hx.phase, float(s), geo_tol)
+    if getattr(curve, "helix", None) is not None:
+        out = _kernels.helix_eval(*_helix_args(curve, s))
     else:
+        _finite_parameter(s)
         jets = curve.tangent_jets(s)
         try:
             out = jets_kernel(_kernels.project_unit_jets(
-                jets, unit_speed_tol(curve)), geo_tol)
+                jets, unit_speed_tol(curve)), geodesic_tol(curve))
         except (ValueError, OverflowError) as exc:
             if isinstance(exc, HHCurvesError):
                 raise
@@ -205,51 +205,40 @@ def point_data(curve, s):
 _GRID_MIN_POINTS = 14
 
 
-def evaluate_points(pairs, *, frames=False):
+def evaluate_points(pairs):
     """Evaluate each ``(curve, s)`` pair, lazily and in input order.
 
-    Yields :func:`point_data`'s ``(fr, tau_direct, tau_frenet)``, or with
-    ``frames`` the :class:`FrenetData` of :func:`compute_frenet`, for each
+    Yields :func:`point_data`'s ``(fr, tau_direct, tau_frenet)`` for each
     pair; a point whose frame degenerates yields its degeneracy error
     instead, and every other error raises. When the pairs hold 14 helix
     points or more, those of every curve take one grid-kernel pass, each
     with its curve's :func:`~hhcurves.curves.geodesic_tol`, after every
     ``s`` of them is checked as :func:`point_data` checks it; the other
     points, and those that pass hands back (possibly degenerate, out of
-    ``exp`` range, or not finite), go through :func:`point_data` or
-    :func:`compute_frenet`.
+    ``exp`` range, or not finite), go through :func:`point_data`.
     """
     pairs = list(pairs)
     batch = [None] * len(pairs)
     on_helix = [i for i, (curve, _) in enumerate(pairs)
                 if getattr(curve, "helix", None) is not None]
     if len(on_helix) >= _GRID_MIN_POINTS:
-        params = [(hx.form, hx.amp, hx.tilt, hx.slope_hi, hx.slope_lo, hx.phase)
-                  for hx in (pairs[i][0].helix for i in on_helix)]
-        for i in on_helix:
-            _finite_parameter(pairs[i][1])
-        results = _kernels.helix_eval_grid(
-            *zip(*params),
-            [float(pairs[i][1]) for i in on_helix],
-            [geodesic_tol(pairs[i][0]) for i in on_helix],
-        )
-        for i, res in zip(on_helix, results):
+        args = [_helix_args(*pairs[i]) for i in on_helix]
+        for i, res in zip(on_helix, _kernels.helix_eval_grid(*zip(*args))):
             batch[i] = res
     for (curve, s), res in zip(pairs, batch):
         if res is None:
             try:
-                res = (compute_frenet if frames else point_data)(curve, s)
+                res = point_data(curve, s)
             except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
                 res = exc
         else:
-            fr = FrenetData._make(res[0])
-            res = fr if frames else (fr,) + res[1:]
+            res = (FrenetData._make(res[0]),) + res[1:]
         yield res
 
 
-def evaluate_grid(curve, grid, *, frames=False):
+def evaluate_grid(curve, grid):
     """:func:`evaluate_points` at every point of one curve's grid."""
-    return evaluate_points([(curve, s) for s in grid], frames=frames)
+    return evaluate_points([(curve, s) for s in grid])
 
 
 def direct_tau(curve, s):
@@ -290,13 +279,20 @@ def summarize_frames(grid, data):
 
 
 def frenet_over_grid(curve, grid):
-    """Frenet data at every grid point plus deviation-from-mean statistics."""
+    """Frenet data at every grid point plus deviation-from-mean statistics.
+
+    A helix-form curve takes :func:`evaluate_grid`'s records and raises the
+    first degeneracy error among them; any other curve takes
+    :func:`compute_frenet` at each point, which computes no bitension field.
+    """
     grid = tuple(float(s) for s in grid)
     if not grid:
         raise InvalidInputError("grid must be non-empty")
+    if getattr(curve, "helix", None) is None:
+        return summarize_frames(grid, [compute_frenet(curve, s) for s in grid])
     data = []
-    for d in evaluate_grid(curve, grid, frames=True):
-        if isinstance(d, Exception):
-            raise d
-        data.append(d)
+    for res in evaluate_grid(curve, grid):
+        if isinstance(res, Exception):
+            raise res
+        data.append(res[0])
     return summarize_frames(grid, data)

@@ -239,11 +239,11 @@ class _Stream:
         return out[0] if size is None else out
 
 
-def _evaluated(pairs, frames=False):
+def _evaluated(pairs):
     """:func:`frenet.evaluate_points` over the ``(curve, s)`` pairs, in
     order; a degeneracy error raises where it is met, as from the per-point
     call."""
-    for res in _frenet.evaluate_points(pairs, frames=frames):
+    for res in _frenet.evaluate_points(pairs):
         if isinstance(res, Exception):
             raise res
         yield res
@@ -684,12 +684,11 @@ def _check_helix_lemma(rng):
         _families.make_spacelike_biharmonic(0.5, branch=1),
         _families.make_timelike_biharmonic(0.5, branch=-1),
     )
-    frames = _evaluated(
+    frames = (res[0] for res in _evaluated(
         [(hel, s) for hel, *_ in lemma for s in (-0.6, 0.3)]
         + [(hel, s) for hel, _ in flat for s in (-0.4, 0.5)]
-        + [(curve, s) for curve in members for s in (-0.5, 0.0, 0.8)],
-        frames=True,
-    )
+        + [(curve, s) for curve in members for s in (-0.5, 0.0, 0.8)]
+    ))
     worst = 0.0
     signs_ok = True
     flat_outside = True

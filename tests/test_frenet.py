@@ -299,15 +299,20 @@ class TestGridApi:
             assert len(tau_frenet) == 3
 
     def test_grid_pass_and_frames_return_the_record(self):
-        curve = make_spacelike_biharmonic(0.5)
+        # frenet_over_grid takes the grid pass's records on a helix and the
+        # frame-only kernel elsewhere: both give the full route's record
         grid = [0.05 * i for i in range(16)]
-        points = list(frenet_module.evaluate_grid(curve, grid))
-        frames = list(frenet_module.evaluate_grid(curve, grid, frames=True))
-        assert all(type(p[0]) is FrenetData for p in points)
-        assert all(type(d) is FrenetData for d in frames)
-        assert [_bits(p[0]) for p in points] == [_bits(d) for d in frames]
-        summary = frenet_over_grid(curve, grid)
-        assert [_bits(d) for d in summary.data] == [_bits(d) for d in frames]
+        for route in sorted(_ROUTES):
+            curve = _ROUTES[route]()
+            points = list(frenet_module.evaluate_grid(curve, grid))
+            frames = [compute_frenet(curve, s) for s in grid]
+            assert all(type(p[0]) is FrenetData for p in points)
+            assert all(type(d) is FrenetData for d in frames)
+            assert [_bits(p[0]) for p in points] == [_bits(d) for d in frames]
+            summary = frenet_over_grid(curve, grid)
+            assert all(type(d) is FrenetData for d in summary.data)
+            assert ([_bits(d) for d in summary.data]
+                    == [_bits(d) for d in frames]), route
 
 
 # One curve of each Frenet route: the helix kernel, closed-form jets, FD jets
@@ -341,10 +346,9 @@ class TestParameterCheck:
     def test_grid_pass_rejects_it(self, s):
         curve = make_spacelike_biharmonic(0.5)
         pairs = [(curve, 0.05 * i) for i in range(15)] + [(curve, s)]
-        for frames in (False, True):
-            with pytest.raises(InvalidInputError,
-                               match="^curve parameter must be "):
-                list(frenet_module.evaluate_points(pairs, frames=frames))
+        with pytest.raises(InvalidInputError,
+                           match="^curve parameter must be "):
+            list(frenet_module.evaluate_points(pairs))
 
     def test_real_numbers_pass(self):
         curve = make_spacelike_biharmonic(0.5)

@@ -485,30 +485,45 @@ def test_evaluate_grid_uses_the_grid_kernel_from_the_crossover(monkeypatch):
     assert got == [point(helix, s) for s in grid]
 
 
+def _point_outcomes(point, pairs):
+    """``point(curve, s)`` of each pair, or its degeneracy error's type and
+    message."""
+    want = []
+    for curve, s in pairs:
+        try:
+            want.append(point(curve, s))
+        except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
+            want.append((type(exc), str(exc)))
+    return want
+
+
+def _frames(outcomes):
+    return [w if isinstance(w[0], type) else w[0] for w in outcomes]
+
+
 def test_evaluate_grid_yields_the_degeneracy_of_each_point():
     null = _null_normal_helix()
 
-    def outcomes(frames):
+    def outcomes():
         out = []
-        for res in frenet.evaluate_grid(null, _NULL_GRID, frames=frames):
+        for res in frenet.evaluate_grid(null, _NULL_GRID):
             out.append((type(res), str(res)) if isinstance(res, Exception)
                        else res)
         return out
 
-    for frames, point in ((False, frenet.point_data),
-                          (True, frenet.compute_frenet)):
-        want = []
-        for s in _NULL_GRID:
-            try:
-                want.append(point(null, s))
-            except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
-                want.append((type(exc), str(exc)))
-        got = outcomes(frames)
-        assert got == want
-        with _per_point_route():
-            assert outcomes(frames) == want
-        assert got[0][0] is NullNormalDegenerateError
-        assert got[5][0] is GeodesicDegenerateError
+    pairs = [(null, s) for s in _NULL_GRID]
+    want = _point_outcomes(frenet.point_data, pairs)
+    got = outcomes()
+    assert got == want
+    with _per_point_route():
+        assert outcomes() == want
+    assert got[0][0] is NullNormalDegenerateError
+    assert got[5][0] is GeodesicDegenerateError
+    # the frame-only route meets the same errors, and frenet_over_grid
+    # raises the first of them on either route
+    assert _point_outcomes(frenet.compute_frenet, pairs) == _frames(want)
+    assert _same_outcome(frenet.frenet_over_grid, null, _NULL_GRID) == (
+        "raised",) + want[0]
 
 
 def _mixed_pairs():
@@ -533,21 +548,14 @@ def _mixed_pairs():
 
 def test_evaluate_points_matches_each_point_in_input_order():
     pairs, _ = _mixed_pairs()
-    for frames, point in ((False, frenet.point_data),
-                          (True, frenet.compute_frenet)):
-        want = []
-        for curve, s in pairs:
-            try:
-                want.append(point(curve, s))
-            except (GeodesicDegenerateError, NullNormalDegenerateError) as exc:
-                want.append((type(exc), str(exc)))
-        got = [(type(res), str(res)) if isinstance(res, Exception) else res
-               for res in frenet.evaluate_points(pairs, frames=frames)]
-        assert got == want
-        kinds = {w[0] if isinstance(w, tuple) and isinstance(w[0], type)
-                 else "ok" for w in want}
-        assert kinds == {GeodesicDegenerateError, NullNormalDegenerateError,
-                         "ok"}
+    want = _point_outcomes(frenet.point_data, pairs)
+    got = [(type(res), str(res)) if isinstance(res, Exception) else res
+           for res in frenet.evaluate_points(pairs)]
+    assert got == want
+    kinds = {w[0] if isinstance(w[0], type) else "ok" for w in want}
+    assert kinds == {GeodesicDegenerateError, NullNormalDegenerateError, "ok"}
+    # the frame-only route gives each point's record or the same error
+    assert _point_outcomes(frenet.compute_frenet, pairs) == _frames(got)
 
 
 def test_evaluate_points_takes_one_grid_pass_over_all_helices(monkeypatch):
