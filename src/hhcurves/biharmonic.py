@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from hhcurves import frenet as _frenet
 from hhcurves._kernels import _tau_from_frenet
 from hhcurves.curves import verdict_tol
-from hhcurves.errors import InvalidInputError
+from hhcurves.errors import HHCurvesError, InvalidInputError
 from hhcurves.frame import FrameVector
 
 __all__ = [
@@ -135,10 +135,11 @@ def check_biharmonic_conditions(curve, grid):
     for s, res in zip(grid, _frenet.evaluate_grid(curve, grid)):
         if isinstance(res, Exception):
             degenerate += 1
-            # the direct route needs no frame, so it still reports
+            # the direct route needs no frame, so it still reports; a
+            # library error there gives NaN, and a caller's own propagates
             try:
                 res_d.append(_enorm(_frenet.direct_tau(curve, s)))
-            except Exception:
+            except HHCurvesError:
                 res_d.append(float("nan"))
             res_f.append(float("nan"))
             continue

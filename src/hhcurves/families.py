@@ -517,7 +517,9 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
     when the tangent is evaluated.
 
     A profile with α' ≡ 0 on the range gives a curve of vanishing curvature;
-    that degenerate request raises :class:`DegenerateGeodesicError`.
+    that degenerate request raises :class:`DegenerateGeodesicError`. Both
+    tests probe α' at 33 evenly spaced points of the range, and a probe
+    where it is not finite raises :class:`InvalidInputError`.
 
     Conditioning: β is anchored to 0 at ``s_range[0]`` and the tangent
     components grow like cosh β, so the unit-speed identity holds in double
@@ -536,10 +538,15 @@ def make_b3zero_curve(kind, alpha, s_range, beta=None):
         value = alpha
         slope = lambda s: fd_derivative(lambda t: (alpha(t),), s, 1, FDConfig())[0]
 
-    # reject profiles that degenerate to a geodesic (zero curvature)
-    n_chk = 33
-    max_a1 = max(abs(slope(s0 + (s1 - s0) * i / (n_chk - 1))) for i in range(n_chk))
-    if max_a1 <= 1e-12:
+    # reject profiles whose α' is not finite, or that degenerate to a
+    # geodesic (zero curvature), at 33 probes
+    probes = [s0 + (s1 - s0) * i / 32 for i in range(33)]
+    slopes = [slope(s) for s in probes]
+    for s, a1 in zip(probes, slopes):
+        if not math.isfinite(a1):
+            raise InvalidInputError(
+                "profile slope alpha' at s=%r is not finite: %r" % (s, a1))
+    if max(map(abs, slopes)) <= 1e-12:
         raise DegenerateGeodesicError(
             "profile has vanishing derivative on the range: "
             "the curve would be a geodesic"

@@ -148,30 +148,45 @@ def _helix_args(curve, s):
             float(s), geodesic_tol(curve))
 
 
-def _evaluate(curve, s, jets_kernel):
-    """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
-    curves, else ``jets_kernel`` of the projected tangent jets, with ``fr``
-    made a :class:`FrenetData`. Raises :class:`InvalidInputError` unless
-    ``s`` is a finite real, and :class:`NumericOverflowError` when any
-    value is not finite."""
-    if getattr(curve, "helix", None) is not None:
-        out = _kernels.helix_eval(*_helix_args(curve, s))
-    else:
-        _finite_parameter(s)
-        jets = curve.tangent_jets(s)
-        try:
-            out = jets_kernel(_kernels.project_unit_jets(
-                jets, unit_speed_tol(curve)), geodesic_tol(curve))
-        except (ValueError, OverflowError) as exc:
-            if isinstance(exc, HHCurvesError):
-                raise
-            # math.fsum meets inf - inf, or a partial sum past DBL_MAX, once
-            # products of the jets overflow
-            raise NumericOverflowError(
-                "jet arithmetic overflows: %s" % (exc,)) from exc
+def _finite(out, s):
+    """``out``, a tuple of tuples of floats, once each value is finite;
+    raises :class:`NumericOverflowError` otherwise."""
     if not all(map(math.isfinite, chain.from_iterable(out))):
         raise NumericOverflowError(
             "the Frenet data at s=%r is not finite" % (s,))
+    return out
+
+
+def _jets_eval(curve, s, kernel):
+    """``kernel`` of the curve's projected tangent jets at ``s`` and its
+    ``geodesic_tol``, checked by :func:`_finite`. Raises
+    :class:`InvalidInputError` unless ``s`` is a finite real, and
+    :class:`NumericOverflowError` when the jet arithmetic overflows."""
+    _finite_parameter(s)
+    jets = curve.tangent_jets(s)
+    try:
+        out = kernel(_kernels.project_unit_jets(jets, unit_speed_tol(curve)),
+                     geodesic_tol(curve))
+    except (ValueError, OverflowError) as exc:
+        if isinstance(exc, HHCurvesError):
+            raise
+        # math.fsum meets inf - inf, or a partial sum past DBL_MAX, once
+        # products of the jets overflow
+        raise NumericOverflowError(
+            "jet arithmetic overflows: %s" % (exc,)) from exc
+    return _finite(out, s)
+
+
+def _evaluate(curve, s, jets_kernel):
+    """The helix kernel's ``(fr, tau_direct, tau_frenet)`` for helix-form
+    curves, else :func:`_jets_eval` of ``jets_kernel``, with ``fr`` made a
+    :class:`FrenetData`. Raises :class:`InvalidInputError` unless ``s`` is
+    a finite real, and :class:`NumericOverflowError` when any value is not
+    finite."""
+    if getattr(curve, "helix", None) is not None:
+        out = _finite(_kernels.helix_eval(*_helix_args(curve, s)), s)
+    else:
+        out = _jets_eval(curve, s, jets_kernel)
     return (FrenetData._make(out[0]),) + out[1:]
 
 
@@ -241,15 +256,21 @@ def evaluate_grid(curve, grid):
     return evaluate_points([(curve, s) for s in grid])
 
 
+def _direct_jets(jets, geo_tol):
+    return (_kernels.bitension_direct_jets(jets),)
+
+
 def direct_tau(curve, s):
     """Bitension field at ``s`` by the direct route alone, in doubles.
 
     The direct route needs no frame, so unlike :func:`point_data` this is
-    defined at degenerate points too.
+    defined at degenerate points too. It takes the tangent jets on every
+    curve, helices included, and raises as :func:`point_data`'s jets route
+    does: :class:`InvalidInputError` for an ``s`` that is not a finite
+    real, :class:`UnitSpeedError`, and :class:`NumericOverflowError` when
+    the jet arithmetic overflows or a value is not finite.
     """
-    jets = _kernels.project_unit_jets(curve.tangent_jets(s),
-                                      unit_speed_tol(curve))
-    return _kernels.bitension_direct_jets(jets)
+    return _jets_eval(curve, s, _direct_jets)[0]
 
 
 def compute_frenet(curve, s):

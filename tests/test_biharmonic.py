@@ -261,6 +261,34 @@ class TestVerdicts:
         with pytest.raises(InvalidInputError):
             check_biharmonic_conditions(make_spacelike_horizontal(), ())
 
+    def test_direct_route_errors_at_degenerate_points(self):
+        # A geodesic point whose second tangent_jets call, the direct
+        # route's, fails: a library error gives a NaN residual, and the
+        # caller's own exception propagates, where it too gave NaN
+        class Boom(Exception):
+            pass
+
+        def boom():
+            raise Boom("the caller's own")
+
+        for failure in (lambda: (math.nan, 0.0, 0.0), boom):
+            calls = []
+
+            def derivative(s, order, failure=failure, calls=calls):
+                calls.append(order)
+                return failure() if len(calls) > 3 else (0.0, 0.0, 0.0)
+
+            curve = FrameCurve(lambda s: (1.0, 0.0, 0.0),
+                               derivative=derivative)
+            if failure is boom:
+                with pytest.raises(Boom):
+                    check_biharmonic_conditions(curve, [0.0])
+                continue
+            report = check_biharmonic_conditions(curve, [0.0])
+            assert report.verdict == "Geodesic"
+            assert math.isnan(report.residual_direct[0])
+            assert math.isnan(report.residual_frenet[0])
+
 
 class TestResidualNorms:
     def test_shapes_and_nonnegativity(self):

@@ -343,13 +343,29 @@ class TestB3ZeroCurves:
         assert calls == []
 
     @pytest.mark.parametrize("alpha", [
-        lambda s: 0.4 + 0.3 * s if s < 0.5 else math.nan,
         sine_profile(0.5, 0.8, 1e4),
-    ], ids=["nan", "fast-sine"])
+    ], ids=["fast-sine"])
     def test_unresolved_beta_quadrature_raises(self, alpha):
         curve = make_b3zero_curve("spacelike", alpha, (0.0, 1.0))
         with pytest.raises(InvalidInputError, match="did not converge"):
             curve.tangent(0.9)
+
+    def test_non_finite_profile_slope_raises_at_construction(self):
+        # max() over the probes kept its running value past a NaN, so these
+        # built and failed only at evaluation: the value profile in the
+        # quadrature, the jets profile in tangent_jets
+        value = lambda s: 0.4 + 0.3 * s if s < 0.5 else math.nan
+        linear = linear_profile(0.4, 0.3)
+
+        def jets(s):
+            a = linear(s)
+            return a if s < 0.5 else (a[0], math.nan, 0.0, 0.0)
+
+        for alpha in (value, jets):
+            with pytest.raises(InvalidInputError,
+                               match=r"^profile slope alpha' at s=0\.5 "
+                                     r"is not finite: nan$"):
+                make_b3zero_curve("spacelike", alpha, (0.0, 1.0))
 
     def test_constant_profile_rejected(self):
         with pytest.raises(DegenerateGeodesicError):

@@ -22,6 +22,7 @@ from hhcurves import (
     inner,
     make_b3zero_linear,
     make_geodesic,
+    make_helix,
     make_spacelike_biharmonic,
     make_spacelike_horizontal,
     make_timelike_biharmonic,
@@ -337,7 +338,8 @@ class TestParameterCheck:
         # a helix point took "0.3" and met NaN as a dd_exp domain error; a
         # jets point raised a bare TypeError for "0.3" and None
         curve = _ROUTES[route]()
-        for evaluate in (frenet_module.point_data, compute_frenet):
+        for evaluate in (frenet_module.point_data, compute_frenet,
+                         frenet_module.direct_tau):
             with pytest.raises(InvalidInputError,
                                match="^curve parameter must be "):
                 evaluate(curve, s)
@@ -401,4 +403,30 @@ class TestNonFiniteFrenetData:
         curve = _fast_helix()
         for evaluate in (frenet_module.point_data, compute_frenet):
             with pytest.raises(NumericOverflowError, match="not finite"):
+                evaluate(curve, 0.0)
+
+    def test_direct_tau_where_the_jets_overflow(self):
+        # fsum met -inf + inf in the jets of this helix, and direct_tau
+        # raised it as a bare ValueError
+        curve = make_helix("spacelike", 0.4, 2.2)
+        for s in (200.0, 300.0, -300.0):
+            with pytest.raises(NumericOverflowError,
+                               match="jet arithmetic overflows"):
+                frenet_module.direct_tau(curve, s)
+
+    def test_direct_tau_where_the_bitension_is_not_finite(self):
+        # T = (cosh cs, sinh cs, 0) at c = 3e102, with closed-form jets
+        # c^k·(sinh, cosh, 0) or c^k·(cosh, sinh, 0): direct_tau returned
+        # (nan, nan, nan) where point_data raised
+        c = 3e102
+
+        def derivative(s, order):
+            ch, sh = c ** order * math.cosh(c * s), c ** order * math.sinh(c * s)
+            return (sh, ch, 0.0) if order % 2 else (ch, sh, 0.0)
+
+        curve = FrameCurve(lambda s: (math.cosh(c * s), math.sinh(c * s), 0.0),
+                           derivative=derivative)
+        for evaluate in (frenet_module.point_data, frenet_module.direct_tau):
+            with pytest.raises(NumericOverflowError,
+                               match="^the Frenet data at s=0.0 is not finite$"):
                 evaluate(curve, 0.0)
