@@ -112,12 +112,7 @@ def _fsum_array(addends):
 
     Each lane is what ``math.fsum`` returns for its addends when that is
     finite, and NaN where ``math.fsum`` returns inf or NaN or raises
-    (``inf - inf``, intermediate overflow). An array form of ``math.fsum``'s
-    exact summation needs O(K²) array two-sums for K addends a lane and
-    CPython's rounding on top. On a 2-vCPU host it took 0.30 ms at 1000
-    lanes of 4 addends against 0.50 ms for this loop, and 0.54 against
-    0.68 ms at 6, but 1.8 against 1.0 ms at 801 lanes of 13 and 0.29 against
-    0.04 ms at 50 lanes of 6 (``tests/time_kernels.py``'s inputs).
+    (``inf - inf``, intermediate overflow).
     """
     import numpy as np
 

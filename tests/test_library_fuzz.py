@@ -21,6 +21,7 @@ curve they build evaluates by the same rule.
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,14 +127,13 @@ def _frenet_parameters(curve):
 
 
 def _finite_or_library_error(call, *args):
-    """``call(*args)``, after checking that its values are finite, or None
-    when it raised a library error."""
+    """Check that ``call(*args)`` returns finite values or raises an
+    :class:`HHCurvesError`."""
     try:
         value = call(*args)
     except HHCurvesError:
-        return None
+        return
     assert all(map(math.isfinite, _floats(value))), (call, args, value)
-    return value
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -146,21 +146,22 @@ def test_frenet_routes_at_a_point(data):
 
 
 def _check_report(curve, grid, report):
+    """Every value of ``report`` is finite, but a degenerate point's Frenet
+    residual, and its direct residual where ``direct_tau`` raises a library
+    error."""
     for s, direct, frenet in zip(grid, report.residual_direct,
                                  report.residual_frenet):
         if math.isnan(frenet):
-            try:
+            with pytest.raises((GeodesicDegenerateError,
+                                NullNormalDegenerateError)):
                 point_data(curve, s)
-            except (GeodesicDegenerateError, NullNormalDegenerateError):
-                pass
-            else:
-                raise AssertionError("NaN at a regular point", curve, s)
             if math.isnan(direct):
-                assert _finite_or_library_error(direct_tau, curve, s) is None
+                with pytest.raises(HHCurvesError):
+                    direct_tau(curve, s)
                 continue
-            frenet = 0.0
-        assert math.isfinite(direct) and math.isfinite(frenet), (
-            curve, s, direct, frenet)
+        else:
+            assert math.isfinite(frenet), (curve, s, frenet)
+        assert math.isfinite(direct), (curve, s, direct)
     assert all(map(math.isfinite, report.condition_values.values()))
 
 
