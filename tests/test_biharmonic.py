@@ -262,32 +262,34 @@ class TestVerdicts:
             check_biharmonic_conditions(make_spacelike_horizontal(), ())
 
     def test_direct_route_errors_at_degenerate_points(self):
-        # A geodesic point whose second tangent_jets call, the direct
-        # route's, fails: a library error gives a NaN residual, and the
-        # caller's own exception propagates, where it too gave NaN
+        # At a geodesic point the direct route's own tangent_jets call
+        # fails: a library error gives a NaN residual, and the caller's own
+        # exception propagates (it gave NaN too)
         class Boom(Exception):
             pass
+
+        def geodesic_then(failure):
+            """A geodesic frame curve whose closed-form derivative calls
+            ``failure`` from its fourth call on, the direct route's."""
+            calls = []
+
+            def derivative(s, order):
+                calls.append(order)
+                return failure() if len(calls) > 3 else (0.0, 0.0, 0.0)
+
+            return FrameCurve(lambda s: (1.0, 0.0, 0.0), derivative=derivative)
+
+        report = check_biharmonic_conditions(
+            geodesic_then(lambda: (math.nan, 0.0, 0.0)), [0.0])
+        assert report.verdict == "Geodesic"
+        assert math.isnan(report.residual_direct[0])
+        assert math.isnan(report.residual_frenet[0])
 
         def boom():
             raise Boom("the caller's own")
 
-        for failure in (lambda: (math.nan, 0.0, 0.0), boom):
-            calls = []
-
-            def derivative(s, order, failure=failure, calls=calls):
-                calls.append(order)
-                return failure() if len(calls) > 3 else (0.0, 0.0, 0.0)
-
-            curve = FrameCurve(lambda s: (1.0, 0.0, 0.0),
-                               derivative=derivative)
-            if failure is boom:
-                with pytest.raises(Boom):
-                    check_biharmonic_conditions(curve, [0.0])
-                continue
-            report = check_biharmonic_conditions(curve, [0.0])
-            assert report.verdict == "Geodesic"
-            assert math.isnan(report.residual_direct[0])
-            assert math.isnan(report.residual_frenet[0])
+        with pytest.raises(Boom):
+            check_biharmonic_conditions(geodesic_then(boom), [0.0])
 
 
 class TestResidualNorms:

@@ -85,19 +85,26 @@ CASES = {
 }
 
 
+LABELS = ("k1", "k2", "n3", "b3", "frame", "own k2^2 - 1", "own b3")
+
+
 def _gaps(kind, member, s_range):
-    """The largest gaps over the member's points, in the order of the pins,
-    and the number of points the library evaluated."""
+    """The largest gap of each of ``LABELS`` over the member's points, and
+    the number of points the library evaluated."""
     make, *params = member
     curve, alpha, beta = make(kind, *params, s_range)
     s0, s1 = s_range
-    gaps = [0.0] * 7
+    gaps = dict.fromkeys(LABELS, 0.0)
+
+    def widen(label, gap):
+        gaps[label] = max(gaps[label], gap)
+
     evaluated = 0
     for i in range(POINTS):
         s = s0 + (s1 - s0) * i / (POINTS - 1)
         fixed, own = reduced_record(kind, alpha(s), beta(s))
-        gaps[5] = max(gaps[5], abs(own.k2 * own.k2 - 1.0))
-        gaps[6] = max(gaps[6], abs(own.b3))
+        widen("own k2^2 - 1", abs(own.k2 * own.k2 - 1.0))
+        widen("own b3", abs(own.b3))
         try:
             lib = compute_frenet(curve, s)
         except UnitSpeedError:
@@ -105,12 +112,13 @@ def _gaps(kind, member, s_range):
         evaluated += 1
         assert (lib.eps1, lib.eps2, lib.eps3) == (
             fixed.eps1, fixed.eps2, fixed.eps3), s
-        gaps[0] = max(gaps[0], abs(lib.k1 - fixed.k1) / max(1.0, abs(fixed.k1)))
-        gaps[1] = max(gaps[1], abs(lib.k2 - fixed.k2) / max(1.0, abs(fixed.k2)))
-        gaps[2] = max(gaps[2], abs(lib.n3 - fixed.n3))
-        gaps[3] = max(gaps[3], abs(lib.b3 - fixed.b3))
+        for label in ("k1", "k2"):
+            want = getattr(fixed, label)
+            widen(label, abs(getattr(lib, label) - want) / max(1.0, abs(want)))
+        widen("n3", abs(lib.n3 - fixed.n3))
+        widen("b3", abs(lib.b3 - fixed.b3))
         for got, want in zip(lib[8:], fixed[8:]):
-            gaps[4] = max(gaps[4], abs(got - want) / max(1.0, abs(want)))
+            widen("frame", abs(got - want) / max(1.0, abs(want)))
     return gaps, evaluated
 
 
@@ -119,6 +127,5 @@ def test_library_against_the_reduced_route(name):
     kind, member, s_range, pins = CASES[name]
     gaps, evaluated = _gaps(kind, member, s_range)
     assert evaluated >= POINTS // 2
-    labels = ("k1", "k2", "n3", "b3", "frame", "own k2^2 - 1", "own b3")
-    for label, gap, pin in zip(labels, gaps, pins):
-        assert gap <= pin, (label, gap, pin)
+    for label, pin in zip(LABELS, pins):
+        assert gaps[label] <= pin, (label, gaps[label], pin)
