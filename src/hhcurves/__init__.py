@@ -26,136 +26,50 @@ frame. The package provides:
 The numerical kernels are written in Python (with NumPy for whole helix
 grids); :data:`BACKEND` names them, and is always ``"pure"``.
 
-``import hhcurves`` loads none of these modules. Each public name of the
-package loads the module that defines it on first use (PEP 562), and is
-looked up there on every access, so ``hhcurves.X`` is always the object
-``hhcurves.<module>.X`` holds at that moment. A caller that only sweeps a
-finite-difference curve never loads the claim registry (``verify``) or the
-exact tables (``connection``, with ``fractions``).
+``import hhcurves`` loads none of these modules. Each public name is
+declared once, in the ``__all__`` of its module, and ``hhcurves.X`` is X of
+the first of ``errors``, ``frame``, ``curves``, ``frenet``, ``biharmonic``,
+``families``, ``connection`` and ``verify`` whose ``__all__`` lists it (PEP
+562). A first access loads the modules up to that one, in order. The name is
+read from its module on every access, so it follows any later rebinding
+there. A caller that only sweeps a finite-difference curve never loads
+``families``, the exact tables (``connection``, with ``fractions``) or the
+claim registry (``verify``). ``__all__``, ``dir()``, a star import and a name
+that no module exports load all eight.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# Each submodule and the public names the package re-exports from it.
-_EXPORTS = {
-    "_kernels": ("BACKEND",),
-    "errors": (
-        "HHCurvesError",
-        "InvalidInputError",
-        "DegenerateGeodesicError",
-        "GeodesicDegenerateError",
-        "NullNormalDegenerateError",
-        "UnitSpeedError",
-        "MixedCausalityError",
-        "NumericOverflowError",
-    ),
-    "frame": (
-        "CausalCharacter",
-        "FrameVector",
-        "E1",
-        "E2",
-        "E3",
-        "inner",
-        "cross",
-        "mixed",
-        "causal_character",
-        "DEFAULT_CAUSAL_TOL",
-    ),
-    "connection": (
-        "ConnectionTable",
-        "CurvatureTable",
-        "METRIC_DIAGONAL",
-        "BRACKETS",
-        "CONNECTION",
-        "CURVATURE",
-        "connection_from_brackets",
-        "curvature_from_connection",
-        "metric_compatibility_defect",
-        "torsion_defect",
-        "covariant_derivative_along",
-        "curvature",
-        "riemann_christoffel",
-    ),
-    "curves": (
-        "FDConfig",
-        "HelixSpec",
-        "CoordinateCurve",
-        "FrameCurve",
-        "fd_derivative",
-        "read_curve_csv",
-        "integrate_frame_curve",
-        "is_horizontal",
-        "causal_character_of_curve",
-        "check_unit_speed",
-        "vertical_momentum",
-        "DEFAULT_GEO_TOL_ANALYTIC",
-        "DEFAULT_GEO_TOL_FD",
-        "DEFAULT_VERDICT_TOL_ANALYTIC",
-        "DEFAULT_VERDICT_TOL_SAMPLED",
-    ),
-    "frenet": (
-        "FrenetData",
-        "FrenetGridSummary",
-        "compute_frenet",
-        "extended_frenet",
-        "frenet_over_grid",
-    ),
-    "biharmonic": (
-        "BiharmonicReport",
-        "bitension_direct",
-        "bitension_frenet_at",
-        "bitension_frenet",
-        "residual_norms",
-        "check_biharmonic_conditions",
-        "identity_defect",
-    ),
-    "families": (
-        "FamilyKind",
-        "solve_slope",
-        "make_spacelike_biharmonic",
-        "make_timelike_biharmonic",
-        "make_spacelike_horizontal",
-        "make_b3zero_curve",
-        "make_b3zero_linear",
-        "make_timelike_horizontal_helix",
-        "make_helix",
-        "make_geodesic",
-        "linear_profile",
-        "sine_profile",
-    ),
-    "verify": (
-        "STATUS_CONFIRMED",
-        "STATUS_CONFIRMED_WITH_ERRATUM",
-        "STATUS_REFUTED_AS_PRINTED",
-        "STATUS_ERROR",
-        "EXPECTED_STATUS",
-        "VerifyConfig",
-        "CheckResult",
-        "VerificationReport",
-        "registry_ids",
-        "run_all",
-        "verify_claim",
-    ),
-}
+# The public modules, in lookup order.
+_MODULES = ("errors", "frame", "curves", "frenet", "biharmonic", "families",
+            "connection", "verify")
 
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", *_OWNER]
+def _module(name):
+    return importlib.import_module("." + name, __name__)
+
+
+def _public():
+    return ["__version__", "BACKEND",
+            *(name for module in _MODULES for name in _module(module).__all__)]
 
 
 def __getattr__(name):
-    # Not stored in the globals: a name is read from its module each time,
-    # so it follows any later rebinding there.
-    module = _OWNER.get(name)
-    if module is not None:
-        return getattr(importlib.import_module("." + module, __name__), name)
-    if name in _EXPORTS:
+    if name == "__all__":
+        return _public()
+    if name == "BACKEND":
+        return _module("_kernels").BACKEND
+    if name in _MODULES or name == "_kernels":
         # importing a submodule binds it in the package namespace
-        return importlib.import_module("." + name, __name__)
+        return _module(name)
+    if not name.startswith("__"):
+        for module in map(_module, _MODULES):
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return sorted({*globals(), *_public(), *_MODULES, "_kernels"})

@@ -24,10 +24,7 @@ Two precision strategies coexist:
   inline from those halves, where :func:`_two_prod` re-splits both factors
   on each call; ``point_eval`` shares the splits of the tangent jets and of
   ``∇_T T`` between both routes. Each ``fsum`` still gets the addends
-  ``_two_prod`` gave, in the same order, so the results are the same bits.
-  Per call this cut ``point_eval`` from about 82 to 50 µs, ``frenet_jets``
-  from 61 to 39 µs and ``project_unit_jets`` from 12.5 to 7.7 µs
-  (``tests/time_kernels.py``, 2-vCPU host);
+  ``_two_prod`` gave, in the same order, so the results are the same bits;
 * the *double-double helix path* (``helix_eval``) evaluates curves whose
   tangent is ``(A·cosh u, A·sinh u, K)`` or ``(A·sinh u, A·cosh u, K)`` with
   ``u = a·s + b`` in ~31-digit double-double arithmetic. Plain doubles cannot
@@ -182,21 +179,15 @@ class _FloatOps:
         return live and not abs(t) <= 1e-40
 
     @staticmethod
-    def exp_special(x):
-        """dd_exp at arguments the series does not evaluate, else None."""
+    def check_exp_range(x):
+        """Raise for a dd_exp argument outside the range the series
+        evaluates."""
         if x.hi <= -_EXP_LIMIT:
-            return DD(0.0)
+            raise NumericOverflowError("dd_exp argument too small")
         if x.hi >= _EXP_LIMIT:
             raise NumericOverflowError("dd_exp argument too large")
         if x.hi != x.hi:  # u = a·s + phase overflowed to inf - inf
             raise NumericOverflowError("dd_exp argument is not a number")
-        return None
-
-    @staticmethod
-    def check_exp_nonzero(e):
-        """Raise for the 0 that dd_exp gives below its range."""
-        if e.hi == 0.0:
-            raise NumericOverflowError("dd_exp argument too small")
 
     @staticmethod
     def degenerate(a10, q0, geo_tol):
@@ -240,10 +231,7 @@ class _ArrayOps:
     def still_live(self, live, t):
         return live & ~(self.np.abs(t) <= 1e-40)
 
-    def exp_special(self, x):
-        return None
-
-    def check_exp_nonzero(self, e):
+    def check_exp_range(self, x):
         pass
 
     def degenerate(self, a10, q0, geo_tol):
@@ -712,9 +700,7 @@ def _mul_pow2(x, p):
 
 def dd_exp(x, ops=_FLOAT_OPS):
     """Exponential of a double-double (argument reduction + Taylor + squaring)."""
-    special = ops.exp_special(x)
-    if special is not None:
-        return special
+    ops.check_exp_range(x)
     m = ops.floor(x.hi / _LN2.hi + 0.5)
     r = _mul_pow2(x - _LN2 * m, 1.0 / 512.0)
     # Taylor series of expm1 on |r| <= ln2/1024, up to and including the
@@ -742,12 +728,11 @@ def dd_cosh_sinh(x, ops=_FLOAT_OPS):
     """cosh and sinh of a double-double, from a single exponential.
 
     Deriving both from one exponential keeps cosh²−sinh² = 1 to ~1e-32, which
-    is the property the helix kernel exists to preserve. Below the ``dd_exp``
-    range, where the exponential is 0, the float form raises
-    :class:`NumericOverflowError`.
+    is the property the helix kernel exists to preserve. Outside the
+    ``dd_exp`` range the float form raises :class:`NumericOverflowError`, and
+    the array form leaves the lanes to the caller's mask.
     """
     e = dd_exp(x, ops)
-    ops.check_exp_nonzero(e)
     inv = DD(1.0) / e
     return _mul_pow2(e + inv, 0.5), _mul_pow2(e - inv, 0.5)
 

@@ -43,7 +43,8 @@ from . import families as _families
 from . import frenet as _frenet
 from . import verify as _verify
 from .biharmonic import _enorm
-from .curves import integrate_frame_curve, read_curve_csv
+from .curves import _MAX_GRID_NODES  # noqa: F401  the --range node cap
+from .curves import _grid_steps, integrate_frame_curve, read_curve_csv
 from .errors import HHCurvesError, InvalidInputError
 
 __all__ = ["build_parser", "main"]
@@ -104,9 +105,6 @@ _DEFAULT_RANGE = "-2:2:0.01"
 # about 4 s and 50 MB on the pure backend, a range 100 long.
 _MAX_INTEGRATION_STEP = 1e-3
 _MAX_INTEGRATION_STEPS = 100_000
-
-# The most s-grid nodes --range may ask for; checked before the grid is built.
-_MAX_GRID_NODES = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +177,11 @@ def _parse_range(text):
         ) from exc
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise InvalidInputError("range fields must be finite, got %r" % (text,))
-    if step <= 0.0:
-        raise InvalidInputError("range step must be positive, got %r" % (step,))
     if stop <= start:
         raise InvalidInputError(
             "range stop must exceed start, got %r" % (text,)
         )
-    count = (stop - start) / step
-    if count + 1 > _MAX_GRID_NODES:
-        raise InvalidInputError(
-            "range %r has more than %d nodes" % (text, _MAX_GRID_NODES)
-        )
-    n = round(count)
-    if n < 1 or abs(n * step - (stop - start)) > 1e-9 * max(1.0, abs(stop - start)):
-        raise InvalidInputError(
-            "range step %r does not divide [%r, %r]" % (step, start, stop)
-        )
-    return start, stop, step, n
+    return start, stop, step, _grid_steps(start, stop, step)
 
 
 def _grid_nodes(start, step, n):

@@ -60,6 +60,10 @@ __all__ = [
     "geodesic_tol",
     "verdict_tol",
     "vertical_momentum",
+    "DEFAULT_GEO_TOL_ANALYTIC",
+    "DEFAULT_GEO_TOL_FD",
+    "DEFAULT_VERDICT_TOL_ANALYTIC",
+    "DEFAULT_VERDICT_TOL_SAMPLED",
 ]
 
 DEFAULT_UNIT_TOL_ANALYTIC = 1e-9
@@ -631,23 +635,41 @@ def _s_range(s_range):
     return s0, s1
 
 
+# The most nodes a grid over a range may have; checked on the count, before
+# any grid is built.
+_MAX_GRID_NODES = 10**6
+
+
+def _grid_steps(s0, s1, step):
+    """The number n of steps ``step`` takes from s0 to s1 > s0. ``step`` must
+    be a finite positive real that divides the range to within
+    ``1e-9·max(1, s1 − s0)`` in at most ``_MAX_GRID_NODES`` nodes; otherwise
+    :class:`InvalidInputError` is raised."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidInputError(
+            "step %r is not a finite positive real" % (step,))
+    count = (s1 - s0) / step
+    if count + 1 > _MAX_GRID_NODES:
+        raise InvalidInputError("step %r over [%r, %r] gives more than %d nodes"
+                                % (step, s0, s1, _MAX_GRID_NODES))
+    n = round(count)
+    if n < 1 or abs(n * step - (s1 - s0)) > 1e-9 * max(1.0, s1 - s0):
+        raise InvalidInputError(
+            "step %r does not divide [%r, %r]" % (step, s0, s1))
+    return n
+
+
 def integrate_frame_curve(curve, start, s_range, step):
     """Integrate a frame curve's coordinates with fixed-step RK4.
 
     Solves ``x' = T1``, ``y' = T2``, ``z' = 2·T3 − 2·T1·y + 2·T2·x`` from
     ``start = (x0, y0, z0)`` over ``s_range = (s0, s1)``; ``step`` must divide
-    the range to within 1e-9 relative. Returns a sampled
-    :class:`CoordinateCurve` on the integration grid.
+    the range to within 1e-9 relative, in at most ``_MAX_GRID_NODES`` nodes.
+    Returns a sampled :class:`CoordinateCurve` on the integration grid.
     """
     s0, s1 = _s_range(s_range)
     step = float(step)
-    if not (math.isfinite(step) and step > 0):
-        raise InvalidInputError("invalid step %r: need a finite positive real" % (step,))
-    n = round((s1 - s0) / step)
-    if n < 1 or abs(n * step - (s1 - s0)) > 1e-9 * max(1.0, abs(s1 - s0)):
-        raise InvalidInputError(
-            "step %r does not divide the range %r" % (step, (s0, s1))
-        )
+    n = _grid_steps(s0, s1, step)
     x, y, z = (float(start[0]), float(start[1]), float(start[2]))
 
     tangent = curve.tangent

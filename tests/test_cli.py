@@ -836,6 +836,10 @@ _FD_SWEEPS = (
 _SUBMODULES = ("errors", "frame", "connection", "curves", "frenet",
                "biharmonic", "families", "verify", "_kernels")
 
+# The modules whose __all__ the package reads, in lookup order
+_LOOKUP_ORDER = ("errors", "frame", "curves", "frenet", "biharmonic",
+                 "families", "connection", "verify")
+
 
 class TestImport:
     def test_cli_import_leaves_numpy_unloaded(self):
@@ -893,7 +897,26 @@ class TestImport:
             "if m in sys.modules), file=sys.stderr)\n")
         assert err == "[]\n"
 
+    def test_late_modules_load_only_for_their_names(self):
+        err = self._stderr_after(
+            "import sys, hhcurves as hh\n"
+            "def loaded():\n"
+            "    return [m for m in ('connection', 'verify')"
+            " if 'hhcurves.' + m in sys.modules]\n"
+            "hh.make_helix\n"
+            "print(loaded(), file=sys.stderr)\n"
+            "hh.CONNECTION\n"
+            "print(loaded(), file=sys.stderr)\n")
+        assert err == "[]\n['connection']\n"
+
     def test_reexports_resolve_to_submodule_objects(self):
+        modules = [getattr(hhcurves, m) for m in _LOOKUP_ORDER]
+        declared = [name for module in modules for name in module.__all__]
+        assert len(declared) == len(set(declared))
+        for module in modules:
+            for name in module.__all__:
+                assert hasattr(module, name), (module.__name__, name)
+        assert hhcurves.__all__ == ["__version__", "BACKEND", *declared]
         for name in hhcurves.__all__[1:]:
             value = getattr(hhcurves, name)
             owners = [m for m in _SUBMODULES

@@ -1,7 +1,11 @@
 """Curve containers: derivatives, CSV ingestion, integration, invariants."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +343,26 @@ class TestIntegration:
         frame = FrameCurve(lambda s: (1.0, 0.0, 0.0))
         with pytest.raises(InvalidInputError, match="sample row 0"):
             integrate_frame_curve(frame, (math.nan, 0, 0), (0.0, 1.0), 0.1)
+
+    def test_step_count_is_capped_before_integrating(self):
+        # 1e300 steps once ran without end; the cap now rejects the count at
+        # once. A subprocess, so that a regression fails instead of hanging.
+        code = (
+            "from hhcurves import FrameCurve, InvalidInputError, "
+            "integrate_frame_curve\n"
+            "try:\n"
+            "    integrate_frame_curve(FrameCurve(lambda s: (1.0, 0.0, 0.0)),"
+            " (0.0, 0.0, 0.0), (0.0, 1e300), 1.0)\n"
+            "except InvalidInputError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("step 1.0 over [0.0, 1e+300] gives more than "
+                               "1000000 nodes\n")
 
 
 class TestCurveInvariants:

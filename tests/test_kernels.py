@@ -84,7 +84,8 @@ class TestDoubleDouble:
 
     def test_exp_special_values(self):
         assert pure.dd_exp(pure.DD(0.0)).hi == 1.0
-        assert pure.dd_exp(pure.DD(-800.0)).hi == 0.0
+        with pytest.raises(NumericOverflowError, match="too small"):
+            pure.dd_exp(pure.DD(-800.0))
         with pytest.raises(OverflowError):
             pure.dd_exp(pure.DD(800.0))
 

@@ -16,6 +16,11 @@ a degenerate point, and its direct residual where the direct route raised a
 library error. ``solve_slope`` and every maker, called with parameters
 drawn from the same edges, build a curve or raise a library error, and the
 curve they build evaluates by the same rule.
+
+``integrate_frame_curve`` on the frame curve of every helix kind and both
+b3zero kinds, from starts, ranges and steps drawn from those edges, returns a
+sampled curve of finite points or raises a library error; a range and step
+that ask for more nodes than the cap raise at once.
 """
 
 import dataclasses
@@ -33,6 +38,7 @@ from hhcurves import (
     check_biharmonic_conditions,
     compute_frenet,
     frenet_over_grid,
+    integrate_frame_curve,
     linear_profile,
     make_b3zero_curve,
     make_b3zero_linear,
@@ -46,6 +52,7 @@ from hhcurves import (
     sine_profile,
     solve_slope,
 )
+from hhcurves.curves import _MAX_GRID_NODES
 from hhcurves.frenet import direct_tau, point_data
 
 CURVES = (
@@ -241,3 +248,28 @@ def test_makers_and_their_curves(data):
        REALS)
 def test_solve_slope(kind, shape):
     _finite_or_library_error(solve_slope, kind, shape)
+
+
+FRAME_CURVES = CURVES[6:11]  # every make_helix kind and both b3zero kinds
+
+
+def _integrated_points(curve, start, s_range, step):
+    return integrate_frame_curve(curve, start, s_range, step).samples.points
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_integrate_frame_curve(data):
+    curve = data.draw(st.sampled_from(FRAME_CURVES), label="curve")
+    start = data.draw(OFFSETS, label="start")
+    s0, s1 = sorted(data.draw(PAIRS, label="s_range"))
+    step = abs(data.draw(REALS, label="step"))
+    # at most a few hundred steps: the range split n ways, and n steps
+    n = data.draw(st.integers(1, 300), label="n")
+    for s_range, h in (((s0, s1), (s1 - s0) / n), ((s0, s0 + n * step), step)):
+        _finite_or_library_error(_integrated_points, curve, start, s_range, h)
+    # a step that splits the range into more nodes than the cap
+    count = data.draw(st.one_of(st.integers(_MAX_GRID_NODES, 10**7),
+                                st.floats(1e7, 1e300)), label="count")
+    with pytest.raises(HHCurvesError):
+        integrate_frame_curve(curve, start, (s0, s1), (s1 - s0) / count)
